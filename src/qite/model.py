@@ -11,7 +11,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,6 +158,8 @@ class ExperimentData:
             strata = np.ascontiguousarray(strata, dtype=np.int64)
             if strata.shape != z.shape:
                 raise DataError("stratum vector length mismatch")
+            if strata.min() < 0:
+                raise DataError("stratum codes must be nonnegative")
             for s in np.unique(strata):
                 zs = z[strata == s]
                 if zs.sum() < 1 or (1 - zs).sum() < 1:
@@ -203,19 +205,31 @@ class ExperimentData:
     def n_strata(self):
         return 1 if self.strata is None else int(self.strata.max()) + 1
 
-    def stratum_members(self):
-        """Tuple of index arrays, one per stratum, in stratum-code order."""
+    @cached_property
+    def _strata_index(self):
+        """(members, sizes), built once: one stable argsort of the stratum
+        codes orders every stratum's units by position."""
         if self.strata is None:
-            return (np.arange(self.n),)
-        return tuple(np.flatnonzero(self.strata == s) for s in range(self.n_strata))
+            order = np.arange(self.n)
+            counts = [self.n]
+            treated = [self.n_t]
+        else:
+            order = np.argsort(self.strata, kind="stable")
+            counts = np.bincount(self.strata, minlength=self.n_strata)
+            treated = np.bincount(self.strata[self.z == 1], minlength=self.n_strata)
+        order.setflags(write=False)
+        members = tuple(np.split(order, np.cumsum(counts)[:-1]))
+        sizes = tuple((int(ns), int(nst)) for ns, nst in zip(counts, treated))
+        return members, sizes
+
+    def stratum_members(self):
+        """Tuple of read-only index arrays, one per stratum, in stratum-code
+        order; each lists its units by position."""
+        return self._strata_index[0]
 
     def stratum_sizes(self):
         """Per-stratum (n_s, n_st) pairs."""
-        out = []
-        for idx in self.stratum_members():
-            zs = self.z[idx]
-            out.append((int(idx.size), int(zs.sum())))
-        return tuple(out)
+        return self._strata_index[1]
 
 
 def switch_labels_negate(data):
@@ -375,7 +389,7 @@ class IntervalFamily:
     @staticmethod
     def from_dict(d):
         entries = tuple(
-            (e["index"], OneSidedInterval(_parse_real(e["lower"]), bool(e["closed"])))
+            (e["index"], OneSidedInterval(float(e["lower"]), bool(e["closed"])))
             for e in d["entries"]
         )
         return IntervalFamily(
@@ -391,12 +405,6 @@ def _json_real(x):
     if x == POS_INF:
         return "inf"
     return float(x)
-
-
-def _parse_real(v):
-    if isinstance(v, str):
-        return float(v)
-    return float(v)
 
 
 def pool_one_sided(intervals, target, level, warnings=()):

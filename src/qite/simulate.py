@@ -260,6 +260,12 @@ def coverage_audit(procedure, spec, alpha=0.1, transform=None, mc=DEFAULT_MC,
     else:
         raise ValueError(f"unknown procedure {procedure!r}")
 
+    # warm the shared null cache before the pool starts, so that parallel
+    # replicates do not each build the same null
+    sample = generate(spec, 0)[0]
+    null_for(sample, transform, mc=mc)
+    if procedure not in ("single-quantile", "multi-quantile"):   # both orientations
+        null_for(switch_labels_negate(sample), transform, mc=mc)
     hits = _parallel(one_rep, range(R), threads)
     p = float(np.mean(hits))
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / R)

@@ -2,7 +2,9 @@
 
 Stratified p-values reuse the worst-case machinery with the slot-allocation
 DP; one DP sweep at a threshold c yields the minimized statistic for every
-k at once, so interval construction memoizes per-threshold profiles.
+k at once, so interval construction memoizes per-threshold profiles.  A
+profile depends only on the data and the threshold, not on the null, so a
+sensitivity curve shares one profile cache across its whole Gamma grid.
 
 Sensitivity analysis bounds the null survival function over all confounder
 configurations when within-set treatment odds differ by at most Gamma.
@@ -90,7 +92,8 @@ def pvalue_scre(data, transforms, k, c, dist=None, mc=DEFAULT_MC, scope="all", t
 
 
 class _ProfileCache:
-    """Memoized DP profiles per (threshold, side); shared by all k."""
+    """Memoized DP profiles per (threshold, side); shared by all k and, in a
+    sensitivity curve, by every Gamma."""
 
     def __init__(self, data, transforms):
         self.data = data
@@ -115,16 +118,10 @@ def _treated_scope_pfun(profiles, dist, n_t, k):
     return pfun
 
 
-def intervals_scre(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
-    """Simultaneous 1-alpha prediction intervals for sorted effects among
-    treated units under stratified randomization, k = 1..n_t."""
-    _require_strata(data)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    if dist is None:
-        dist = null_for(data, transforms, mc=mc)
+def _invert_treated_family(data, profiles, dist, alpha, target):
+    """Simultaneous 1-alpha intervals for the sorted treated effects,
+    k = 1..n_t, by inverting the profile p-values over the jump grid."""
     grid = stratified_jump_grid(data)
-    profiles = _ProfileCache(data, transforms)
     entries = []
     lo = 0
     for k in range(1, data.n_t + 1):
@@ -133,7 +130,19 @@ def intervals_scre(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
         if not interval.informative:
             lo = 0
         entries.append((k, interval))
-    return IntervalFamily(tuple(entries), 1.0 - alpha, True, "sample-quantiles-treated")
+    return IntervalFamily(tuple(entries), 1.0 - alpha, True, target)
+
+
+def intervals_scre(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
+    """Simultaneous 1-alpha prediction intervals for sorted effects among
+    treated units under stratified randomization, k = 1..n_t."""
+    _require_strata(data)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    if dist is None:
+        dist = null_for(data, transforms, mc=mc)
+    return _invert_treated_family(data, _ProfileCache(data, transforms), dist, alpha,
+                                  "sample-quantiles-treated")
 
 
 def combine_scre(data, transforms, alpha, mc=DEFAULT_MC):
@@ -223,23 +232,19 @@ def pvalue_sensitivity(data, transforms, k, c, gamma_bound, mode="pairs",
 
 
 def sensitivity_intervals(data, transforms, alpha, gamma_bound, mode="pairs",
-                          mc=DEFAULT_MC):
+                          mc=DEFAULT_MC, profiles=None):
     """Simultaneous 1-alpha prediction intervals for sorted effects among
-    treated units under the Gamma sensitivity model."""
+    treated units under the Gamma sensitivity model.
+
+    ``profiles`` is an optional ``_ProfileCache`` for the same data and
+    transforms, shared by calls that differ only in Gamma.
+    """
     _require_matched(data, pairs_only=(mode == "pairs"))
     dist = worst_case_tail(data, transforms, gamma_bound, mode, mc)
-    grid = stratified_jump_grid(data)
-    profiles = _ProfileCache(data, transforms)
-    entries = []
-    lo = 0
-    for k in range(1, data.n_t + 1):
-        pfun = _treated_scope_pfun(profiles, dist, data.n_t, k)
-        interval, lo = invert_lower_bound(pfun, grid, alpha, lo_start=lo)
-        if not interval.informative:
-            lo = 0
-        entries.append((k, interval))
-    return IntervalFamily(tuple(entries), 1.0 - alpha, True,
-                          f"sample-quantiles-treated(gamma={float(gamma_bound)})")
+    if profiles is None:
+        profiles = _ProfileCache(data, transforms)
+    return _invert_treated_family(data, profiles, dist, alpha,
+                                  f"sample-quantiles-treated(gamma={float(gamma_bound)})")
 
 
 @dataclass(frozen=True)
@@ -259,8 +264,10 @@ def sensitivity_curve(data, transforms, alpha, gammas, mode="pairs", mc=DEFAULT_
     """Interval families across a Gamma grid plus, per quantile, the largest
     Gamma whose interval still excludes zero."""
     gammas = tuple(sorted(float(g) for g in gammas))
+    profiles = _ProfileCache(data, transforms)
     families = tuple(
-        sensitivity_intervals(data, transforms, alpha, g, mode, mc) for g in gammas
+        sensitivity_intervals(data, transforms, alpha, g, mode, mc, profiles)
+        for g in gammas
     )
     thresholds = []
     for k in range(1, data.n_t + 1):

@@ -20,6 +20,8 @@ from .model import DEFAULT_MC, rng_for
 _TAG_DELTA_H = 21
 _TAG_DELTA_M = 22
 
+_DRAW_BLOCK = 16_384   # multinomial rows drawn per call
+
 
 def _log_comb(a, b):
     a = np.asarray(a, dtype=float)
@@ -138,20 +140,45 @@ def mhg_sample(rng, colors, ndraw, size):
     Each column is drawn from the exact conditional hypergeometric given
     the preceding columns, so no rejection is involved.
     """
+    below = _mhg_running_totals(rng, colors, ndraw, size)
+    return np.diff(below, axis=1, prepend=0, append=ndraw)
+
+
+def _mhg_running_totals(rng, colors, ndraw, size):
+    """The draws of ``mhg_sample`` as running totals: column j counts the
+    balls of colors 0..j, for j < len(colors) - 1.
+
+    Held in the smallest integer type that fits ndraw, which keeps 1e5
+    draws of a few colors within a few megabytes.
+    """
     colors = np.asarray(colors, dtype=np.int64)
     total = int(colors.sum())
     if not 0 <= ndraw <= total:
         raise ValueError("sample size exceeds ball count")
-    out = np.zeros((size, colors.size), dtype=np.int64)
+    below = np.empty((size, colors.size - 1), dtype=np.min_scalar_type(ndraw))
     remaining_draws = np.full(size, ndraw, dtype=np.int64)
     remaining_balls = total
     for j in range(colors.size - 1):
         remaining_balls -= int(colors[j])
-        h = rng.hypergeometric(int(colors[j]), remaining_balls, remaining_draws)
-        out[:, j] = h
-        remaining_draws = remaining_draws - h
-    out[:, -1] = remaining_draws
-    return out
+        remaining_draws -= rng.hypergeometric(int(colors[j]), remaining_balls,
+                                              remaining_draws)
+        below[:, j] = ndraw - remaining_draws
+    return below
+
+
+def _multinomial_running_totals(rng, n, probs, size):
+    """Running totals (as in ``_mhg_running_totals``) of ``size`` draws of
+    ``rng.multinomial(n, probs)``.
+
+    Rows are drawn a block at a time, which consumes the generator exactly
+    as one call for all rows does, so only one block of int64 counts is
+    held at once.
+    """
+    below = np.empty((size, len(probs) - 1), dtype=np.min_scalar_type(n))
+    for a in range(0, size, _DRAW_BLOCK):
+        counts = rng.multinomial(n, probs, size=min(_DRAW_BLOCK, size - a))
+        below[a:a + _DRAW_BLOCK] = np.cumsum(counts[:, :-1], axis=1)
+    return below
 
 
 def _validate_ordered(ks, upper, what):
@@ -183,15 +210,17 @@ def delta_h(k_primes, N, n, ks, mc=DEFAULT_MC):
         return hypergeom_sf(N, N - ks[0], n, n - k_primes[0])
     colors = np.diff([0, *ks, N])
     rng = rng_for(mc.seed, _TAG_DELTA_H, N, n)
-    counts = mhg_sample(rng, colors, n, mc.draws)
-    return _union_tail_estimate(counts, n, k_primes)
+    return _union_tail_from_below(_mhg_running_totals(rng, colors, n, mc.draws), k_primes)
 
 
 def _union_tail_estimate(counts, n, k_primes):
-    # event_j: sum of colors j..J exceeds n - k'_j, i.e. the count of
-    # colors below j falls short of k'_j
-    below = np.cumsum(counts[:, :-1], axis=1)
-    hit = np.zeros(counts.shape[0], dtype=bool)
+    return _union_tail_from_below(np.cumsum(counts[:, :-1], axis=1), k_primes)
+
+
+def _union_tail_from_below(below, k_primes):
+    # below[:, j] counts the draws of colors 0..j.  event_j: more than
+    # n - k'_j draws of the colors above j, i.e. below[:, j] < k'_j
+    hit = np.zeros(below.shape[0], dtype=bool)
     for j, kp in enumerate(k_primes):
         hit |= below[:, j] < kp
     return float(hit.mean())
@@ -215,8 +244,8 @@ def delta_m(k_primes, n, betas, mc=DEFAULT_MC):
         return binom_sf(n, 1.0 - betas[0], n - k_primes[0])
     probs = np.diff([0.0, *betas, 1.0])
     rng = rng_for(mc.seed, _TAG_DELTA_M, n)
-    counts = rng.multinomial(n, probs, size=mc.draws)
-    return _union_tail_estimate(counts, n, k_primes)
+    return _union_tail_from_below(_multinomial_running_totals(rng, n, probs, mc.draws),
+                                  k_primes)
 
 
 def delta_gap_profile(N_sequence, n, betas, k_primes, mc=DEFAULT_MC):
@@ -301,18 +330,19 @@ def choose_kprime_multi(N, n, ks, alpha, gamma, mc=DEFAULT_MC, kind="finite", be
         kp = kprimes_for(1.0)
         return CorrectionSpec(kp, 0.0, gamma, 1.0)
 
-    # shared draws across the kappa search keep the estimate monotone
+    # shared draws across the kappa search keep the estimate monotone; their
+    # running totals are taken once for every kappa probed
     if kind == "finite":
         colors = np.diff([0, *targets, N])
         rng = rng_for(mc.seed, _TAG_DELTA_H, N, n)
-        counts = mhg_sample(rng, colors, n, mc.draws)
+        below = _mhg_running_totals(rng, colors, n, mc.draws)
     else:
         probs = np.diff([0.0, *targets, 1.0])
         rng = rng_for(mc.seed, _TAG_DELTA_M, n)
-        counts = rng.multinomial(n, probs, size=mc.draws)
+        below = _multinomial_running_totals(rng, n, probs, mc.draws)
 
     def corr_at(kappa):
-        return _union_tail_estimate(counts, n, kprimes_for(kappa))
+        return _union_tail_from_below(below, kprimes_for(kappa))
 
     grid = np.arange(math.ceil(1000.0 / J), 1001) / 1000.0
     lo, hi = 0, grid.size - 1

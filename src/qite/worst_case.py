@@ -24,19 +24,22 @@ from .model import NEG_INF
 from .engine import per_stratum_transforms, ranks, statistic
 
 
-def _largest_treated_first(z, y):
-    """Treated indices ordered by outcome descending, ties largest index
-    first.
+def _largest_treated_first(z, y, c):
+    """Treated indices ordered by imputed outcome y - c descending, ties
+    largest index first: from the top, the order in which the statistic
+    ranks them.
 
-    Evicting the largest index among equal outcomes keeps the smallest
-    index, and on an exact tie between a kept imputed outcome and a control
-    outcome the smaller index ranks below the control, which is what
-    attains the minimum.  (Exactness is enforced against the brute-force
-    oracle in the tests.)
+    Evicting the top-ranked treated units leaves every kept unit's rank as
+    low as it can be, which is what attains the minimum.  In particular
+    the smallest index among equal imputed outcomes is kept, and on an
+    exact tie with a control outcome it ranks below the control.  Ordering
+    by y instead agrees except where y - c rounds distinct outcomes to one
+    value.  (Exactness is enforced against the brute-force oracle in the
+    tests.)
     """
     treated = np.flatnonzero(np.asarray(z) == 1)
-    order = np.lexsort((-treated, -np.asarray(y, dtype=float)[treated]))
-    return treated[order]
+    imputed = np.asarray(y, dtype=float)[treated] - c
+    return treated[np.lexsort((-treated, -imputed))]
 
 
 def _imputed_outcomes(z, y, m, c, slot_order=None):
@@ -44,7 +47,7 @@ def _imputed_outcomes(z, y, m, c, slot_order=None):
     y = np.asarray(y, dtype=float)
     out = np.where(z == 1, y - c, y)
     if m > 0:
-        slots = _largest_treated_first(z, y) if slot_order is None else slot_order
+        slots = _largest_treated_first(z, y, c) if slot_order is None else slot_order
         out[slots[:m]] = NEG_INF
     return out
 
@@ -66,6 +69,52 @@ def min_stat_cre(data, transform, k, c, tie_shift=0):
     return statistic(data.z, out, transform, _shift_vector(data.z, tie_shift))
 
 
+# entries of the cost-table index matrix built per block: bounds the
+# transient memory of one large stratum to O(n_s), not O(n_st * n_s)
+_COST_BLOCK = 1 << 15
+
+
+def _cost_table_direct(z_s, y_s, transform, c, tie_shift):
+    """f(m), m = 0..n_st, by one full statistic evaluation per m."""
+    slots = _largest_treated_first(z_s, y_s, c)
+    shift = _shift_vector(z_s, tie_shift)
+    return np.array([
+        statistic(z_s, _imputed_outcomes(z_s, y_s, m, c, slots), transform, shift)
+        for m in range(slots.size + 1)
+    ])
+
+
+def _cost_table(z_s, y_s, transform, c, tie_shift):
+    """Within-stratum cost table f(m), m = 0..n_st, from one ranking.
+
+    With the treated units in ascending rank order at m = 0 (ranks R_p),
+    evicting the top m of them moves them to ranks 1..m and every kept
+    unit p up by m:
+
+        f(m) = phi(1) + ... + phi(m) + sum_{p < n_st - m} phi(R_p + m)
+
+    Each f(m) is summed as one contiguous row in ascending-rank order, the
+    order ``engine.statistic`` sums in, so the table is bit-identical to
+    the direct evaluation.  (Where every treated unit imputes to -inf, at
+    c = +inf, they all share ranks 1..n_st whichever were evicted.)
+    """
+    z_s = np.asarray(z_s)
+    y_s = np.asarray(y_s, dtype=float)
+    r = ranks(np.where(z_s == 1, y_s - c, y_s), _shift_vector(z_s, tie_shift))
+    R = np.sort(r[z_s == 1])
+    n_st = R.size
+    phi = transform.scores(y_s.size)
+    f = np.empty(n_st + 1)
+    cols = np.arange(n_st)
+    rows = max(1, _COST_BLOCK // max(n_st, 1))
+    for a in range(0, n_st + 1, rows):
+        m = np.arange(a, min(a + rows, n_st + 1))[:, None]
+        kept = cols - m
+        idx = np.where(kept < 0, cols, R[np.maximum(kept, 0)] + m - 1)
+        f[a:a + m.shape[0]] = phi[idx].sum(axis=1)
+    return f
+
+
 def min_stat_scre_profile(data, transforms, c, tie_shift=0):
     """DP profile: entry u is the minimum stratified statistic when up to u
     unbounded-effect slots may be allocated across strata (u = 0..n_t).
@@ -82,14 +131,8 @@ def min_stat_scre_profile(data, transforms, c, tie_shift=0):
     n_t = data.n_t
     dp = np.zeros(1)
     for idx, transform in zip(data.stratum_members(), transforms):
-        z_s, y_s = data.z[idx], data.y[idx]
-        n_st = int(z_s.sum())
-        slots = _largest_treated_first(z_s, y_s)
-        shift = _shift_vector(z_s, tie_shift)
-        f = np.array([
-            statistic(z_s, _imputed_outcomes(z_s, y_s, m, c, slots), transform, shift)
-            for m in range(n_st + 1)
-        ])
+        f = _cost_table(data.z[idx], data.y[idx], transform, c, tie_shift)
+        n_st = f.size - 1
         prev = dp
         width = min(prev.size - 1 + n_st, n_t)
         dp = np.full(width + 1, np.inf)
@@ -106,7 +149,9 @@ def _profile_one_treated(data, transforms, c, tie_shift):
 
     Evicting stratum s moves its treated unit to within-stratum rank 1, so
     the allocation problem reduces to keeping the u largest savings
-    f_s(0) - phi_s(1).  Within-stratum ranks come from one global sort.
+    f_s(0) - phi_s(1).  Within-stratum ranks come from one global sort,
+    and the scores of each distinct transform are looked up once: phi(r)
+    does not depend on the stratum size.
     """
     z, y, strata = data.z, data.y, data.strata
     n = data.n
@@ -119,14 +164,18 @@ def _profile_one_treated(data, transforms, c, tie_shift):
     rank = np.empty(n, dtype=np.int64)
     rank[order] = within + 1
     treated = np.flatnonzero(z == 1)
-    treated_of = np.empty(len(counts), dtype=np.int64)
-    treated_of[strata[treated]] = treated
+    treated_rank = np.empty(len(counts), dtype=np.int64)
+    treated_rank[strata[treated]] = rank[treated]
+    groups = {}
+    for s, tr in enumerate(transforms):
+        groups.setdefault(id(tr), (tr, []))[1].append(s)
     f0 = np.empty(len(counts))
     f1 = np.empty(len(counts))
-    for s, tr in enumerate(transforms):
-        phi = tr.scores(counts[s])
-        f0[s] = phi[rank[treated_of[s]] - 1]
-        f1[s] = phi[0]
+    for tr, members in groups.values():
+        members = np.asarray(members)
+        phi = tr.scores(counts[members].max())
+        f0[members] = phi[treated_rank[members] - 1]
+        f1[members] = phi[0]
     savings = np.sort(f0 - f1)[::-1]
     profile = np.empty(data.n_t + 1)
     profile[0] = f0.sum()
@@ -147,15 +196,10 @@ def best_allocation(data, transforms, k, c, tie_shift=0):
     """Optimal per-stratum slot counts (m_1..m_S) and the achieved minimum."""
     transforms = per_stratum_transforms(data, transforms)
     capacity = min(data.n - k, data.n_t)
-    tables = []
-    for idx, transform in zip(data.stratum_members(), transforms):
-        z_s, y_s = data.z[idx], data.y[idx]
-        slots = _largest_treated_first(z_s, y_s)
-        shift = _shift_vector(z_s, tie_shift)
-        tables.append([
-            statistic(z_s, _imputed_outcomes(z_s, y_s, m, c, slots), transform, shift)
-            for m in range(int(z_s.sum()) + 1)
-        ])
+    tables = [
+        _cost_table(data.z[idx], data.y[idx], transform, c, tie_shift)
+        for idx, transform in zip(data.stratum_members(), transforms)
+    ]
     # small-scale exact DP with backtracking
     S = len(tables)
     best = {0: (0.0, ())}
@@ -226,18 +270,17 @@ def brute_force_min(data, transforms, scope, k, c, tie_shift=0, max_configs=300_
 
 
 def enumerate_allocations_min(data, transforms, k, c, tie_shift=0):
-    """Exhaustive minimum over feasible slot allocations (DP cross-check)."""
+    """Exhaustive minimum over feasible slot allocations (DP cross-check).
+
+    Builds its cost tables by direct statistic evaluation, independently
+    of the closed form the DP uses.
+    """
     transforms = per_stratum_transforms(data, transforms)
     capacity = min(data.n - k, data.n_t)
-    tables = []
-    for idx, transform in zip(data.stratum_members(), transforms):
-        z_s, y_s = data.z[idx], data.y[idx]
-        slots = _largest_treated_first(z_s, y_s)
-        shift = _shift_vector(z_s, tie_shift)
-        tables.append([
-            statistic(z_s, _imputed_outcomes(z_s, y_s, m, c, slots), transform, shift)
-            for m in range(int(z_s.sum()) + 1)
-        ])
+    tables = [
+        _cost_table_direct(data.z[idx], data.y[idx], transform, c, tie_shift)
+        for idx, transform in zip(data.stratum_members(), transforms)
+    ]
     best = np.inf
     for combo in itertools.product(*(range(len(t)) for t in tables)):
         if sum(combo) > capacity:

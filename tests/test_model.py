@@ -152,3 +152,39 @@ class TestIntervals:
         ivs = [OneSidedInterval(1.0, False), OneSidedInterval(1.0, True)]
         fam = pool_one_sided(ivs, "t", 0.9)
         assert fam.interval(1).closed and not fam.interval(2).closed
+
+
+class TestStrataIndex:
+    def test_members_match_flatnonzero(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            S = int(rng.integers(1, 6))
+            sizes = rng.integers(2, 6, S)
+            strata = np.repeat(np.arange(S), sizes)
+            z = np.concatenate([[1, *rng.integers(0, 2, ns - 2), 0] for ns in sizes])
+            perm = rng.permutation(strata.size)
+            strata, z = strata[perm], z[perm]
+            d = ExperimentData(z, rng.normal(size=strata.size), strata)
+            members = d.stratum_members()
+            assert len(members) == S
+            for s, idx in enumerate(members):
+                assert idx.tolist() == np.flatnonzero(strata == s).tolist()
+            assert d.stratum_sizes() == tuple(
+                (int(np.sum(strata == s)), int(np.sum(z[strata == s]))) for s in range(S))
+
+    def test_members_read_only_and_built_once(self):
+        d = ExperimentData.from_arrays([1, 0, 0, 1, 1, 0], [1.0] * 6,
+                                       ["a", "b", "a", "b", "b", "a"])
+        members = d.stratum_members()
+        assert members is d.stratum_members()
+        for idx in members:
+            with pytest.raises(ValueError):
+                idx[0] = 0
+        cre = ExperimentData.from_arrays([1, 0], [1.0, 2.0])
+        (idx,) = cre.stratum_members()
+        assert idx.tolist() == [0, 1] and not idx.flags.writeable
+        assert cre.stratum_sizes() == ((2, 1),)
+
+    def test_negative_stratum_codes_rejected(self):
+        with pytest.raises(DataError):
+            ExperimentData(np.array([1, 0]), np.array([1.0, 2.0]), np.array([-1, -1]))

@@ -10,7 +10,8 @@ from qite import (
     pvalue_sensitivity, sensitivity_curve, stratified_statistic, worst_case_tail,
 )
 from qite.model import NEG_INF
-from qite.stratified import SensitivityModel
+from qite import stratified
+from qite.stratified import SensitivityModel, sensitivity_intervals
 
 from conftest import random_cre, random_scre
 
@@ -274,3 +275,35 @@ class TestSensitivityCurve:
         for k, g in curve.zero_exclusion:
             if g is not None:
                 assert curve.family(g).interval(k).excludes_zero()
+
+    def test_profiles_shared_across_gamma_grid(self, monkeypatch):
+        calls = []
+        original = stratified.min_stat_scre_profile
+
+        def counted(data, transforms, c, tie_shift=0):
+            calls.append((float(c), tie_shift))
+            return original(data, transforms, c, tie_shift)
+
+        monkeypatch.setattr(stratified, "min_stat_scre_profile", counted)
+        d = pairs_data(17, S=8)
+        gammas = [1.0, 1.5, 2.5, 5.0]
+        sensitivity_curve(d, W, 0.2, gammas, mode="pairs")
+        assert calls
+        assert len(calls) == len(set(calls))
+        # each Gamma computed alone needs more profiles than the shared grid
+        calls.clear()
+        for g in gammas:
+            sensitivity_intervals(d, W, 0.2, g, mode="pairs")
+        assert len(calls) > len(set(calls))
+
+    @pytest.mark.parametrize("mode, size", [("pairs", 2), ("gaussian", 3)])
+    def test_families_equal_separate_calls(self, mode, size):
+        rng = np.random.default_rng(21)
+        S = 10
+        z = np.tile([1] + [0] * (size - 1), S)
+        y = np.round(rng.normal(0.0, 1.0, size * S) + (z == 1) * 1.0, 1)
+        d = ExperimentData.from_arrays(z, y, np.repeat(np.arange(S), size))
+        gammas = [1.0, 1.3, 2.0, 3.5]
+        curve = sensitivity_curve(d, W, 0.2, gammas, mode=mode)
+        for g, fam in zip(curve.gammas, curve.families):
+            assert fam == sensitivity_intervals(d, W, 0.2, g, mode=mode)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qite import ExperimentData, RankTransform, min_stat_cre, min_stat_scre
 from qite.cre import jump_grid, stratified_jump_grid
 from qite.worst_case import (
-    best_allocation, brute_force_min, enumerate_allocations_min,
-    min_stat_scre_profile,
+    _cost_table, _cost_table_direct, best_allocation, brute_force_min,
+    enumerate_allocations_min, min_stat_scre_profile,
 )
 
 from conftest import random_cre, random_scre
@@ -174,3 +176,99 @@ def test_brute_force_guard():
     d = ExperimentData.from_arrays([1, 0] * 10, list(range(20)))
     with pytest.raises(ValueError):
         brute_force_min(d, W, "all", 0, 0.0)
+
+
+# With outcomes at 2**53, c = -2**53 is a grid point at which y - c rounds
+# the distinct outcomes 0 and 1 to one value, tied with a control at 2**53:
+# there the order of the outcomes and the order of the ranks disagree.
+BIG = 2.0 ** 53
+
+
+@st.composite
+def stratified_designs(draw):
+    """Small stratified design, its transform, and one threshold and side.
+
+    Designs either give every stratum one treated unit (the closed-form
+    one-treated path) or mix strata with one and with several treated
+    units (the DP path).  Integer outcomes make ties likely.  Table scores
+    are real-valued; the one-treated path subtracts savings from a total
+    instead of summing per-stratum costs, so for designs it takes they are
+    multiples of 1/16, exact in every summation order.
+    """
+    one_treated = draw(st.booleans())
+    outcomes = [0.0, 1.0, 2.0, 3.0] + ([BIG, BIG + 2.0] if draw(st.booleans()) else [])
+    S = draw(st.integers(1, 3))
+    z, y, strata = [], [], []
+    for s in range(S):
+        ns = draw(st.integers(2, 3))
+        nst = 1 if one_treated else draw(st.integers(1, ns - 1))
+        z += draw(st.permutations([1] * nst + [0] * (ns - nst)))
+        y += draw(st.lists(st.sampled_from(outcomes), min_size=ns, max_size=ns))
+        strata += [s] * ns
+    d = ExperimentData.from_arrays(z, np.array(y), strata)
+    kind = draw(st.sampled_from(["wilcoxon", "stephenson", "table"]))
+    if kind == "wilcoxon":
+        tr = W
+    elif kind == "stephenson":
+        tr = RankTransform.stephenson(draw(st.integers(2, 3)))
+    else:
+        if all(nst == 1 for _, nst in d.stratum_sizes()):
+            steps = draw(st.lists(st.integers(0, 40), min_size=3, max_size=3))
+            steps = [v / 16.0 for v in steps]
+        else:
+            steps = draw(st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3))
+        tr = RankTransform.from_table(np.cumsum(steps))
+    grid = stratified_jump_grid(d)
+    c = draw(st.sampled_from([*grid.tolist(), float("inf"), float("-inf")]))
+    side = draw(st.sampled_from([-1, 0, 1]))
+    return d, tr, c, side
+
+
+def _assert_profile_matches_oracles(d, tr, c, side, k_oracle):
+    prof = min_stat_scre_profile(d, tr, c, side)
+    for k in range(d.n + 1):
+        assert prof[min(d.n - k, d.n_t)] == enumerate_allocations_min(d, tr, k, c, side)
+    assert prof[min(d.n - k_oracle, d.n_t)] == \
+        brute_force_min(d, tr, "all", k_oracle, c, side)
+
+
+class TestProfileProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(case=stratified_designs(), data=st.data())
+    def test_profile_equals_oracles(self, case, data):
+        d, tr, c, side = case
+        _assert_profile_matches_oracles(d, tr, c, side, data.draw(st.integers(0, d.n)))
+
+    def test_rounded_tie_with_control(self):
+        # stratum a: at c = -2**53 both treated outcomes impute to 2**53, tied
+        # with the control.  The minimum evicts unit 2, the top-ranked one by
+        # position, and keeps unit 0 below the control; evicting the larger
+        # outcome y = 1 instead would keep unit 2 above it
+        d = ExperimentData.from_arrays([1, 0, 1, 1, 1, 0], [1.0, BIG, 0.0, 2.0, 3.0, 1.0],
+                                       ["a", "a", "a", "b", "b", "b"])
+        z_a, y_a = d.z[:3], d.y[:3]
+        assert y_a[0] - (-BIG) == y_a[2] - (-BIG) == y_a[1]
+        assert _cost_table(z_a, y_a, W, -BIG, 0).tolist() == [4.0, 3.0, 3.0]
+        for k in range(d.n + 1):
+            for side in (-1, 0, 1):
+                _assert_profile_matches_oracles(d, W, -BIG, side, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_s=st.integers(2, 300),
+           side=st.sampled_from([-1, 0, 1]),
+           c_kind=st.sampled_from(["grid", "inf", "-inf", "large"]))
+    def test_cost_table_bitwise_equal_to_direct(self, seed, n_s, side, c_kind):
+        # real-valued scores whose sums round, strata past numpy's pairwise
+        # summation block, and ties from one-decimal outcomes; at c = 1e17
+        # every treated outcome imputes to one value
+        rng = np.random.default_rng(seed)
+        n_st = int(rng.integers(1, n_s))
+        z = np.zeros(n_s, dtype=np.int8)
+        z[rng.permutation(n_s)[:n_st]] = 1
+        y = np.round(rng.normal(0.0, 1.0, n_s), 1)
+        tr = RankTransform.from_table(np.cumsum(rng.random(n_s) ** 3))
+        c = {"grid": float(rng.choice(y) - rng.choice(y)), "inf": float("inf"),
+             "-inf": float("-inf"), "large": 1e17}[c_kind]
+        fast = _cost_table(z, y, tr, c, side)
+        direct = _cost_table_direct(z, y, tr, c, side)
+        assert fast.tobytes() == direct.tobytes()
