@@ -34,22 +34,22 @@ from .tails import (
     delta_m,
 )
 from .cre import (
-    PValueResult,
     band,
     ci_count,
     ci_single,
-    combine_treated_control,
     corrected_pvalue,
-    intervals_from_treated_only,
-    prediction_intervals_treated,
     pvalue_all,
     pvalue_treated,
     simultaneous_cis,
 )
 from .stratified import (
-    SensitivityModel,
+    PValueResult,
     combine_scre,
+    combine_treated_control,
+    intervals_from_treated_only,
     intervals_scre,
+    prediction_intervals_treated,
+    pvalue,
     pvalue_scre,
     pvalue_sensitivity,
     sensitivity_curve,

@@ -24,12 +24,11 @@ from .model import (
     DataError, IntervalFamily, MonteCarloConfig, RankTransform, _json_real,
     load_experiment,
 )
-from .cre import (
-    band, combine_treated_control, corrected_pvalue, intervals_from_treated_only,
-    pvalue_all, pvalue_treated, simultaneous_cis,
-)
+from .cre import band, corrected_pvalue, simultaneous_cis
 from .population import PopulationTarget, population_cis
-from .stratified import pvalue_scre, sensitivity_curve
+from .stratified import (
+    combine_treated_control, intervals_from_treated_only, pvalue, sensitivity_curve,
+)
 from .simulate import DgpSpec, coverage_audit, gamma_study, method_comparison, rows_to_csv
 from .tails import choose_kprime_single
 
@@ -70,7 +69,6 @@ def _build_parser():
         sp.add_argument("--mc-draws", type=int, default=100_000)
         sp.add_argument("--seed", type=int, default=None,
                         help=f"Monte Carlo seed (default: ${SEED_ENV} or 2024)")
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         sp.add_argument("--output", default="qite-run",
                         help="prefix for result, CSV and manifest files")
 
@@ -224,15 +222,11 @@ def cmd_test(args):
     transform = _transform(args)
     mc = MonteCarloConfig(args.mc_draws, _resolve_seed(args))
     k = data.n if args.k == "n" else int(args.k)
-    if data.strata is not None:
-        res = pvalue_scre(data, transform, k, args.c, mc=mc, scope=args.scope)
-    elif args.method == "corrected":
+    if args.method == "corrected":
         kp = choose_kprime_single(data.n, data.n_t, k, args.alpha, args.gamma)
         res = corrected_pvalue(data, transform, k, args.c, kp, mc=mc)
-    elif args.scope == "treated":
-        res = pvalue_treated(data, transform, k, args.c, mc=mc)
     else:
-        res = pvalue_all(data, transform, k, args.c, mc=mc)
+        res = pvalue(data, transform, k, args.c, mc=mc, scope=args.scope)
     payload = {
         "p_value": res.value,
         "k": res.hypothesis.k,
@@ -287,17 +281,17 @@ def cmd_simulate(args):
     if args.study == "method-comparison":
         rows = method_comparison(spec, rho2s=args.rho2, quantiles=tuple(args.quantiles),
                                  alpha=args.alpha, s=args.s, gamma=args.gamma,
-                                 mc=mc, threads=args.threads)
+                                 mc=mc)
         payload = {"study": "method-comparison", "rows": len(rows)}
     elif args.study == "gamma":
         gammas = args.gamma_grid or [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         rows = gamma_study(spec, gammas=tuple(gammas), quantiles=tuple(args.quantiles),
-                           alpha=args.alpha, s=args.s, mc=mc, threads=args.threads)
+                           alpha=args.alpha, s=args.s, mc=mc)
         payload = {"study": "gamma", "rows": len(rows)}
     else:
         result = coverage_audit(args.procedure, spec, alpha=args.alpha,
                                 transform=_transform(args), mc=mc,
-                                gamma=args.gamma, threads=args.threads)
+                                gamma=args.gamma)
         rows = None
         payload = {
             "study": "coverage",

@@ -1,173 +1,68 @@
-"""Inference for effect quantiles in completely randomized experiments.
+"""Count-corrected inference for effect quantiles in completely randomized
+experiments.
 
-P-values come from the survival function of the rank-score null evaluated
-at the worst-case minimized statistic.  Confidence and prediction intervals
-invert those p-values over the threshold c.  The minimized statistic is a
-step function of c whose jumps lie on the treated-minus-control outcome
-grid, so inversion is a binary search over that grid with exact evaluation
-at each grid point and at its open limits.
+The p-values, the jump grid, test inversion and the pooled families live
+in ``stratified``, which runs a completely randomized design as its
+one-stratum case; ``pvalue_all`` and ``pvalue_treated`` name its two
+scopes.  This module adds the count correction: a quantile hypothesis
+about all units is tested at a treated-scope threshold k', plus the
+hypergeometric probability that the assignment put more than n_t - k' of
+the top effects on treatment.  That probability assumes complete
+randomization, so the corrected procedures reject stratified data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import (
-    DEFAULT_MC, NEG_INF, IntervalFamily, OneSidedInterval, QuantileHypothesis,
-    UNINFORMATIVE, pool_one_sided, switch_labels_negate,
+    DEFAULT_MC, IntervalFamily, OneSidedInterval, QuantileHypothesis, UNINFORMATIVE,
+    switch_labels_negate,
 )
-from .engine import null_for, survival
+from .engine import null_for
+from .stratified import PValueResult, _ProfileCache, _invert_treated_family, jump_grid, pvalue
 from .tails import choose_kprime_multi, choose_kprime_single, hypergeom_sf
-from .worst_case import min_stat_cre
 
 DEFAULT_GAMMA = 0.5
 
-
-@dataclass(frozen=True)
-class PValueResult:
-    value: float
-    hypothesis: QuantileHypothesis
-    method: str
-    statistic_min: float
-    null_provenance: tuple
-    correction: float = 0.0
-    k_prime: int | None = None
+stratified_jump_grid = jump_grid
 
 
 def _resolve_null(data, transform, dist, mc):
     return dist if dist is not None else null_for(data, transform, mc=mc)
 
 
+def _require_complete(data):
+    if data.n_strata > 1:
+        raise ValueError(
+            "the count correction assumes complete randomization; these data have "
+            f"{data.n_strata} strata")
+
+
 def pvalue_all(data, transform, k, c, dist=None, mc=DEFAULT_MC, tie_shift=0):
     """Worst-case randomization p-value for: at most n-k effects exceed c."""
-    dist = _resolve_null(data, transform, dist, mc)
-    t_min = min_stat_cre(data, transform, k, c, tie_shift)
-    return PValueResult(
-        survival(dist, t_min), QuantileHypothesis(k, c, "all"), "original",
-        t_min, dist.provenance,
-    )
+    return pvalue(data, transform, k, c, dist, mc, "all", tie_shift)
 
 
 def pvalue_treated(data, transform, k, c, dist=None, mc=DEFAULT_MC, tie_shift=0):
-    """P-value for: at most n_t-k treated effects exceed c.
-
-    Identical to the all-units p-value at index n_c + k: the two composite
-    nulls share the same worst-case configuration.
-    """
-    if not 0 <= k <= data.n_t:
-        raise ValueError(f"k must be in [0, {data.n_t}]")
-    base = pvalue_all(data, transform, data.n_c + k, c, dist, mc, tie_shift)
-    return PValueResult(
-        base.value, QuantileHypothesis(k, c, "treated"), "treated",
-        base.statistic_min, base.null_provenance,
-    )
+    """P-value for: at most n_t-k treated effects exceed c."""
+    return pvalue(data, transform, k, c, dist, mc, "treated", tie_shift)
 
 
 def corrected_pvalue(data, transform, k, c, k_prime, dist=None, mc=DEFAULT_MC, tie_shift=0):
     """Treated-scope p-value at threshold k' plus the probability that more
     than n_t - k' of the top n-k effects were assigned to treatment,
     truncated at 1."""
+    _require_complete(data)
     n, n_t = data.n, data.n_t
     if not 0 <= k_prime <= n_t:
         raise ValueError(f"k' must be in [0, {n_t}]")
-    base = pvalue_treated(data, transform, k_prime, c, dist, mc, tie_shift)
+    base = pvalue(data, transform, k_prime, c, dist, mc, "treated", tie_shift)
     corr = hypergeom_sf(n, n - k, n_t, n_t - k_prime)
     return PValueResult(
         min(1.0, base.value + corr), QuantileHypothesis(k, c, "all"), "corrected",
         base.statistic_min, base.null_provenance, correction=corr, k_prime=k_prime,
     )
-
-
-# ---------------------------------------------------------------------------
-# Test inversion
-# ---------------------------------------------------------------------------
-
-def jump_grid(data):
-    """Sorted candidate thresholds: treated-minus-control outcome gaps."""
-    t = data.y[data.z == 1]
-    c = data.y[data.z == 0]
-    return np.unique(t[:, None] - c[None, :])
-
-
-def stratified_jump_grid(data):
-    """Union over strata of within-stratum treated-minus-control gaps."""
-    pieces = []
-    for idx in data.stratum_members():
-        z, y = data.z[idx], data.y[idx]
-        pieces.append((y[z == 1][:, None] - y[z == 0][None, :]).ravel())
-    return np.unique(np.concatenate(pieces))
-
-
-def invert_lower_bound(pfun, grid, alpha, lo_start=0):
-    """Lower endpoint of {c : pfun(c) > alpha} for a p-value nondecreasing
-    and piecewise constant in c with jumps only on ``grid``.
-
-    pfun(c, side) with side +1/0/-1 evaluates just below / at / just above
-    c.  Returns (interval, index of the grid point found).
-    """
-    M = len(grid)
-    if M == 0 or pfun(grid[lo_start], +1) > alpha:
-        return OneSidedInterval(NEG_INF, False), lo_start
-    lo, hi = lo_start, M - 1
-    # smallest grid point whose upper open limit exceeds alpha; the region
-    # above the last grid point always has p = 1 > alpha
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pfun(grid[mid], -1) > alpha:
-            hi = mid
-        else:
-            lo = mid + 1
-    closed = pfun(grid[lo], 0) > alpha
-    return OneSidedInterval(float(grid[lo]), closed), lo
-
-
-def prediction_intervals_treated(data, transform, alpha, dist=None, mc=DEFAULT_MC):
-    """Simultaneous 1-alpha one-sided prediction intervals for the sorted
-    effects among treated units, k = 1..n_t.  Nested: bounds nondecreasing
-    in k."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    dist = _resolve_null(data, transform, dist, mc)
-    grid = jump_grid(data)
-    entries = []
-    lo = 0
-    for k in range(1, data.n_t + 1):
-        def pfun(c, side, _k=k):
-            return pvalue_treated(data, transform, _k, c, dist, mc, tie_shift=side).value
-
-        interval, lo = invert_lower_bound(pfun, grid, alpha, lo_start=lo)
-        if not interval.informative:
-            lo = 0   # -inf bound: later ks may still start anywhere
-        entries.append((k, interval))
-    return IntervalFamily(tuple(entries), 1.0 - alpha, True, "sample-quantiles-treated")
-
-
-def intervals_from_treated_only(data, transform, alpha, dist=None, mc=DEFAULT_MC):
-    """Simultaneous intervals for all-unit effect quantiles built from one
-    orientation only: tau_(n_c + k) is bounded by the k-th treated-effect
-    interval, and quantiles at or below n_c get the whole real line."""
-    fam_t = prediction_intervals_treated(data, transform, alpha, dist, mc)
-    entries = [(k, UNINFORMATIVE) for k in range(1, data.n_c + 1)]
-    entries += [(data.n_c + k, iv) for k, iv in fam_t.entries]
-    return IntervalFamily(tuple(entries), 1.0 - alpha, True, "sample-quantiles-all")
-
-
-def combine_treated_control(data, transform, alpha, dist=None, mc=DEFAULT_MC):
-    """Pooled simultaneous confidence intervals for all-unit effect
-    quantiles at level 1-2*alpha.
-
-    Runs the treated-effect prediction intervals on the original data and
-    on the label-switched, sign-flipped data (whose individual effects are
-    identical), pools the n one-sided intervals by inclusion, and assigns
-    the k-th largest lower bound to the k-th sorted effect.
-    """
-    fam_t = prediction_intervals_treated(data, transform, alpha, dist, mc)
-    switched = switch_labels_negate(data)
-    fam_c = prediction_intervals_treated(switched, transform, alpha, None, mc)
-    intervals = [iv for _, iv in fam_t.entries] + [iv for _, iv in fam_c.entries]
-    return pool_one_sided(intervals, "sample-quantiles-all", 1.0 - 2.0 * alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +79,16 @@ class SingleCi:
     warning: str | None = None
 
 
-def _invert_treated_at(data, transform, k_prime, alpha_eff, dist, mc, grid=None):
+def _invert_treated_at(profiles, k_prime, alpha_eff, dist):
     if k_prime <= 0:
         return UNINFORMATIVE
-    if grid is None:
-        grid = jump_grid(data)
-
-    def pfun(c, side):
-        return pvalue_treated(data, transform, k_prime, c, dist, mc, tie_shift=side).value
-
-    interval, _ = invert_lower_bound(pfun, grid, alpha_eff)
-    return interval
+    return _invert_treated_family(profiles, dist, alpha_eff, (k_prime,))[0]
 
 
 def ci_single(data, transform, k, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFAULT_MC):
     """1-alpha confidence interval for the k-th smallest effect among all
     units, spending at most gamma*alpha on the count correction."""
+    _require_complete(data)
     n, n_t = data.n, data.n_t
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
@@ -210,7 +99,7 @@ def ci_single(data, transform, k, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFA
         return SingleCi(UNINFORMATIVE, k, k_prime, corr, alpha_eff,
                         warning="correction consumed the error budget")
     dist = _resolve_null(data, transform, dist, mc)
-    interval = _invert_treated_at(data, transform, k_prime, alpha_eff, dist, mc)
+    interval = _invert_treated_at(_ProfileCache(data, transform), k_prime, alpha_eff, dist)
     return SingleCi(interval, k, k_prime, corr, alpha_eff)
 
 
@@ -222,6 +111,7 @@ def ci_count(data, transform, c, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFAU
     scanned p-value only near-monotone in k, so the hull is conservative
     whenever an interior gap occurs.
     """
+    _require_complete(data)
     n, n_t = data.n, data.n_t
     dist = _resolve_null(data, transform, dist, mc)
     k_max = -1
@@ -242,6 +132,7 @@ def simultaneous_cis(data, transform, ks, alpha, gamma=DEFAULT_GAMMA, mc=DEFAULT
     keeps the better (larger) lower bound, making the result invariant to
     treatment labeling.
     """
+    _require_complete(data)
     ks = sorted(int(k) for k in ks)
     if combine_sides:
         spec_t, spec_c = corrections if corrections is not None else (None, None)
@@ -266,10 +157,9 @@ def simultaneous_cis(data, transform, ks, alpha, gamma=DEFAULT_GAMMA, mc=DEFAULT
         return IntervalFamily(entries, 1.0 - alpha, True, "sample-quantiles-all",
                               ("correction consumed the error budget",))
     dist = _resolve_null(data, transform, dist, mc)
-    grid = jump_grid(data)
-    entries = []
-    for k, kp in zip(ks, spec.k_primes):
-        entries.append((k, _invert_treated_at(data, transform, kp, alpha_eff, dist, mc, grid)))
+    profiles = _ProfileCache(data, transform)
+    entries = [(k, _invert_treated_at(profiles, kp, alpha_eff, dist))
+               for k, kp in zip(ks, spec.k_primes)]
     return IntervalFamily(tuple(entries), 1.0 - alpha, True, "sample-quantiles-all")
 
 

@@ -214,13 +214,16 @@ def convolve_discrete(parts, cap=EXACT_CAP_DEFAULT):
     acc_v = np.zeros(1)
     acc_w = np.ones(1)
     for v, w in parts:
-        vals = (acc_v[:, None] + np.asarray(v)[None, :]).ravel()
+        v = np.asarray(v)
+        # bound the outer product before building it; the merged support
+        # is no larger
+        if acc_v.size * v.size > cap:
+            raise ExactEnumerationError(
+                f"convolving {acc_v.size} by {v.size} atoms exceeds cap {cap}; use Monte Carlo"
+            )
+        vals = (acc_v[:, None] + v[None, :]).ravel()
         wts = (acc_w[:, None] * np.asarray(w)[None, :]).ravel()
         acc_v, acc_w = _merge_atoms(vals, wts)
-        if acc_v.size > cap:
-            raise ExactEnumerationError(
-                f"convolved support size {acc_v.size} exceeds cap {cap}; use Monte Carlo"
-            )
     return acc_v, acc_w
 
 
@@ -228,10 +231,11 @@ def null_distribution(design, transforms, mode="auto", mc=DEFAULT_MC, cap=EXACT_
     """Null distribution of the (stratified) rank-score statistic.
 
     design: ("cre", n, n_t) or ("scre", ((n_s, n_st), ...)).
-    mode: "exact", "mc", or "auto" (exact when within the cap).
+    mode: "exact", "mc", or "auto" (exact when within the cap, else seeded
+    Monte Carlo, recorded as such in the provenance).
     CRE enumerates treated-rank subsets; SCRE convolves exact per-stratum
-    distributions when every stratum is enumerable, else samples strata
-    jointly with a seeded generator.
+    distributions when every stratum and the convolution fit the cap, else
+    samples strata jointly with a seeded generator.
     """
     key_transforms = transforms if hasattr(transforms, "scores") else tuple(transforms)
     return _null_cached(tuple(design), key_transforms, mode, mc, cap)
@@ -258,26 +262,32 @@ def _null_cached(design, transforms, mode, mc, cap):
             transforms = (transforms,) * len(sizes)
         if len(transforms) != len(sizes):
             raise ValueError("one transform per stratum required")
-        if mode == "auto":
-            feasible = all(math.comb(ns, nst) <= cap for ns, nst in sizes)
-            mode = "exact" if feasible else "mc"
-        if mode == "exact":
-            if len(sizes) == 1:
-                (ns, nst), tr = sizes[0], transforms[0]
-                vals, wts = _exact_subset_sums(tr.scores(ns), ns, nst, cap)
-            else:
-                parts = []
-                for (ns, nst), tr in zip(sizes, transforms):
-                    v, w = _exact_subset_sums(tr.scores(ns), ns, nst, cap)
-                    parts.append((v, w / w.sum()))
-                vals, wts = convolve_discrete(parts, cap)
-            return discrete_null(vals, wts, provenance=("exact",), design=design)
+        if mode == "exact" or (
+                mode == "auto" and all(math.comb(ns, nst) <= cap for ns, nst in sizes)):
+            try:
+                return _exact_scre_null(sizes, transforms, cap, design)
+            except ExactEnumerationError:
+                if mode == "exact":
+                    raise
         total = np.zeros(mc.draws)
         for s, ((ns, nst), tr) in enumerate(zip(sizes, transforms)):
             total += _mc_subset_sums(tr.scores(ns), ns, nst, mc, _TAG_SCRE_NULL, s)
         return _mc_null(total, ("mc", mc.draws, mc.seed), design)
 
     raise ValueError(f"unknown design {design[0]!r}")
+
+
+def _exact_scre_null(sizes, transforms, cap, design):
+    if len(sizes) == 1:
+        (ns, nst), tr = sizes[0], transforms[0]
+        vals, wts = _exact_subset_sums(tr.scores(ns), ns, nst, cap)
+    else:
+        parts = []
+        for (ns, nst), tr in zip(sizes, transforms):
+            v, w = _exact_subset_sums(tr.scores(ns), ns, nst, cap)
+            parts.append((v, w / w.sum()))
+        vals, wts = convolve_discrete(parts, cap)
+    return discrete_null(vals, wts, provenance=("exact",), design=design)
 
 
 def _mc_null(draws, provenance, design):

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DEFAULT_MC, IntervalFamily, UNINFORMATIVE
-from .cre import combine_treated_control, prediction_intervals_treated
-from .stratified import combine_scre, intervals_scre
+from .stratified import combine_treated_control, prediction_intervals_treated
 from .tails import choose_kprime_multi
 
 
@@ -54,15 +53,11 @@ class PopulationTarget:
 
 def _sample_quantile_family(data, transforms, alpha_eff, units, mc):
     """Simultaneous 1-alpha_eff prediction intervals for sample effect
-    quantiles, dispatching on design and on which units form the sample."""
+    quantiles, by which units form the sample."""
     if units == "all":
-        if data.strata is None:
-            return combine_treated_control(data, transforms, alpha_eff / 2.0, mc=mc)
-        return combine_scre(data, transforms, alpha_eff / 2.0, mc=mc)
+        return combine_treated_control(data, transforms, alpha_eff / 2.0, mc=mc)
     if units == "treated":
-        if data.strata is None:
-            return prediction_intervals_treated(data, transforms, alpha_eff, mc=mc)
-        return intervals_scre(data, transforms, alpha_eff, mc=mc)
+        return prediction_intervals_treated(data, transforms, alpha_eff, mc=mc)
     raise ValueError(f"unknown units {units!r}")
 
 

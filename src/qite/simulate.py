@@ -5,13 +5,12 @@ and Var(Y(1)) = 1 - rho2 and mean effect 2, so individual effects are
 N(2, 1) regardless of rho2; varying rho2 trades tail weight between the
 two potential outcome distributions.  Replicate r draws its randomness
 from substream (seed, tag, r), so results do not depend on evaluation
-order and replications can run in parallel unchanged.
+order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,12 +20,9 @@ from .model import (
     DEFAULT_MC, ExperimentData, NEG_INF, RankTransform, rng_for,
     switch_labels_negate,
 )
-from .engine import null_for
-from .cre import (
-    ci_single, combine_treated_control, intervals_from_treated_only,
-    simultaneous_cis,
-)
+from .cre import ci_single, simultaneous_cis
 from .population import PopulationTarget, population_cis
+from .stratified import combine_treated_control, intervals_from_treated_only
 from .tails import choose_kprime_multi
 
 _TAG_DGP = 41
@@ -64,10 +60,9 @@ def generate(spec, replicate=0):
     return ExperimentData(z, y), tau
 
 
-def _parallel(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
+def _parallel(fn, items):
+    """Run one replicate per index, in order.  Every study maps its
+    replicates through here, so a tracer can time each replicate."""
     return [fn(item) for item in items]
 
 
@@ -84,7 +79,7 @@ def _m2_corrections(n, n_t, ks, alpha, gamma, mc):
 
 
 def method_comparison(spec, rho2s=None, quantiles=(0.5, 0.6, 0.7, 0.8, 0.9),
-                      alpha=0.1, s=6, gamma=0.5, mc=DEFAULT_MC, threads=1,
+                      alpha=0.1, s=6, gamma=0.5, mc=DEFAULT_MC,
                       methods=("m0", "m1", "m2")):
     """Median lower confidence limits per (rho2, quantile, method).
 
@@ -105,7 +100,6 @@ def method_comparison(spec, rho2s=None, quantiles=(0.5, 0.6, 0.7, 0.8, 0.9),
         corrections = None
         if "m2" in methods:
             corrections = _m2_corrections(sample.n, sample.n_t, ks, alpha, gamma, mc)
-        null_for(sample, transform, mc=mc)   # warm the shared cache
 
         def one_rep(r):
             data, _ = generate(cell, r)
@@ -130,7 +124,7 @@ def method_comparison(spec, rho2s=None, quantiles=(0.5, 0.6, 0.7, 0.8, 0.9),
                 out["m2_individual"] = ind
             return out
 
-        reps = _parallel(one_rep, range(cell.replications), threads)
+        reps = _parallel(one_rep, range(cell.replications))
         for method in reps[0]:
             mat = np.array([rep[method] for rep in reps])
             for qi, q in enumerate(quantiles):
@@ -147,13 +141,12 @@ def method_comparison(spec, rho2s=None, quantiles=(0.5, 0.6, 0.7, 0.8, 0.9),
 
 def gamma_study(spec, gammas=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
                 quantiles=(0.5, 0.6, 0.7, 0.8, 0.9), alpha=0.1, s=6,
-                mc=DEFAULT_MC, threads=1):
+                mc=DEFAULT_MC):
     """Median lower limits of the count-corrected method across the budget
     fraction gamma."""
     transform = RankTransform.stephenson(s)
     ks = _quantile_ks(spec.n, quantiles)
     sample = generate(spec, 0)[0]
-    null_for(sample, transform, mc=mc)
     rows = []
     for gamma in gammas:
         corrections = _m2_corrections(sample.n, sample.n_t, ks, alpha, gamma, mc)
@@ -164,7 +157,7 @@ def gamma_study(spec, gammas=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
                                    combine_sides=True, corrections=corrections)
             return [fam.interval(k).lower for k in ks]
 
-        mat = np.array(_parallel(one_rep, range(spec.replications), threads))
+        mat = np.array(_parallel(one_rep, range(spec.replications)))
         for qi, q in enumerate(quantiles):
             col = mat[:, qi]
             rows.append({
@@ -195,7 +188,7 @@ def _covers_sorted(family, targets):
 
 
 def coverage_audit(procedure, spec, alpha=0.1, transform=None, mc=DEFAULT_MC,
-                   quantiles=(0.5, 0.7, 0.9), gamma=0.5, pop_N=80, threads=1):
+                   quantiles=(0.5, 0.7, 0.9), gamma=0.5, pop_N=80):
     """Empirical coverage of an interval procedure against latent effects.
 
     procedures: "combined-all-quantiles" (pooled family, level 1-2*alpha),
@@ -260,13 +253,7 @@ def coverage_audit(procedure, spec, alpha=0.1, transform=None, mc=DEFAULT_MC,
     else:
         raise ValueError(f"unknown procedure {procedure!r}")
 
-    # warm the shared null cache before the pool starts, so that parallel
-    # replicates do not each build the same null
-    sample = generate(spec, 0)[0]
-    null_for(sample, transform, mc=mc)
-    if procedure not in ("single-quantile", "multi-quantile"):   # both orientations
-        null_for(switch_labels_negate(sample), transform, mc=mc)
-    hits = _parallel(one_rep, range(R), threads)
+    hits = _parallel(one_rep, range(R))
     p = float(np.mean(hits))
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / R)
     return CoverageResult(procedure, p, se, R)

@@ -1,10 +1,18 @@
-"""Stratified-experiment inference and matched-study sensitivity analysis.
+"""Randomization inference for effect quantiles in any randomized design,
+and matched-study sensitivity analysis.
 
-Stratified p-values reuse the worst-case machinery with the slot-allocation
-DP; one DP sweep at a threshold c yields the minimized statistic for every
-k at once, so interval construction memoizes per-threshold profiles.  A
-profile depends only on the data and the threshold, not on the null, so a
-sensitivity curve shares one profile cache across its whole Gamma grid.
+A completely randomized experiment is the one-stratum case of a stratified
+one, so a single engine serves both.  P-values come from the survival
+function of the rank-score null evaluated at the worst-case minimized
+statistic.  Intervals invert those p-values over the threshold c: the
+minimized statistic is a step function of c whose jumps lie on the
+within-stratum treated-minus-control outcome gaps, so inversion is a
+binary search over that grid with exact evaluation at each grid point and
+at its open limits.  One profile at a threshold gives the minimized
+statistic for every k at once, so an inversion memoizes profiles per
+threshold.  A profile depends only on the data and the threshold, not on
+the null, so a sensitivity curve shares one profile cache across its
+whole Gamma grid.
 
 Sensitivity analysis bounds the null survival function over all confounder
 configurations when within-set treatment odds differ by at most Gamma.
@@ -18,45 +26,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .model import (
-    DEFAULT_MC, IntervalFamily, QuantileHypothesis, pool_one_sided, rng_for,
-    switch_labels_negate,
+    DEFAULT_MC, NEG_INF, IntervalFamily, OneSidedInterval, QuantileHypothesis,
+    UNINFORMATIVE, pool_one_sided, rng_for, switch_labels_negate,
 )
 from .engine import (
     EXACT_CAP_DEFAULT, ExactEnumerationError, NullDistribution, _mc_null,
     convolve_discrete, discrete_null, null_for, per_stratum_transforms, survival,
 )
-from .cre import PValueResult, invert_lower_bound, stratified_jump_grid
-from .worst_case import min_stat_scre_profile
+from .worst_case import min_stat_scre, min_stat_scre_profile
 
 _TAG_SENS = 31
 
 
 @dataclass(frozen=True)
-class SensitivityModel:
-    """Within-set treatment-odds bound Gamma >= 1, one treated per set."""
-
-    gamma_bound: float
-
-    def __post_init__(self):
-        if self.gamma_bound < 1.0:
-            raise ValueError("Gamma must be >= 1")
-
-    @staticmethod
-    def from_log(log_gamma):
-        return SensitivityModel(math.exp(log_gamma))
-
-
-def _require_strata(data):
-    if data.strata is None:
-        raise ValueError("stratified inference needs stratum labels")
+class PValueResult:
+    value: float
+    hypothesis: QuantileHypothesis
+    method: str
+    statistic_min: float
+    null_provenance: tuple
+    correction: float = 0.0
+    k_prime: int | None = None
 
 
 def _require_matched(data, pairs_only=False):
-    _require_strata(data)
     for n_s, n_st in data.stratum_sizes():
         if n_s < 2:
             raise ValueError("matched sets of size 1 carry no randomness")
@@ -66,39 +64,87 @@ def _require_matched(data, pairs_only=False):
             raise ValueError("pairs mode requires every matched set to have size 2")
 
 
-def pvalue_scre(data, transforms, k, c, dist=None, mc=DEFAULT_MC, scope="all", tie_shift=0):
-    """Stratified worst-case p-value; scope "treated" addresses the sorted
-    effects among treated units and equals the all-units p-value at
-    n_c + k."""
-    _require_strata(data)
+def pvalue(data, transforms, k, c, dist=None, mc=DEFAULT_MC, scope="all", tie_shift=0):
+    """Worst-case randomization p-value for: at most n-k effects exceed c
+    (scope "all"), or at most n_t-k treated effects exceed c (scope
+    "treated").
+
+    The treated-scope p-value equals the all-units one at index n_c + k:
+    the two composite nulls share the same worst-case configuration.
+    """
     if scope == "treated":
         if not 0 <= k <= data.n_t:
             raise ValueError(f"k must be in [0, {data.n_t}]")
         k_all = data.n_c + k
     elif scope == "all":
-        if not 0 <= k <= data.n:
-            raise ValueError(f"k must be in [0, {data.n}]")
         k_all = k
     else:
         raise ValueError(f"unknown scope {scope!r}")
+    t_min = min_stat_scre(data, transforms, k_all, c, tie_shift)
     if dist is None:
         dist = null_for(data, transforms, mc=mc)
-    profile = min_stat_scre_profile(data, transforms, c, tie_shift)
-    t_min = float(profile[min(data.n - k_all, data.n_t)])
+    if data.strata is not None:
+        method = "stratified"
+    else:
+        method = "original" if scope == "all" else "treated"
     return PValueResult(
-        survival(dist, t_min), QuantileHypothesis(k, c, scope), "stratified",
+        survival(dist, t_min), QuantileHypothesis(k, c, scope), method,
         t_min, dist.provenance,
     )
 
 
+pvalue_scre = pvalue
+
+
+# ---------------------------------------------------------------------------
+# Test inversion
+# ---------------------------------------------------------------------------
+
+def jump_grid(data):
+    """Sorted candidate thresholds: the union over strata of within-stratum
+    treated-minus-control outcome gaps (every gap, for one stratum)."""
+    pieces = []
+    for idx in data.stratum_members():
+        z, y = data.z[idx], data.y[idx]
+        pieces.append((y[z == 1][:, None] - y[z == 0][None, :]).ravel())
+    return np.unique(np.concatenate(pieces))
+
+
+def invert_lower_bound(pfun, grid, alpha, lo_start=0):
+    """Lower endpoint of {c : pfun(c) > alpha} for a p-value nondecreasing
+    and piecewise constant in c with jumps only on ``grid``.
+
+    pfun(c, side) with side +1/0/-1 evaluates just below / at / just above
+    c.  Returns (interval, index of the grid point found).
+    """
+    M = len(grid)
+    if M == 0 or pfun(grid[lo_start], +1) > alpha:
+        return OneSidedInterval(NEG_INF, False), lo_start
+    lo, hi = lo_start, M - 1
+    # smallest grid point whose upper open limit exceeds alpha; the region
+    # above the last grid point always has p = 1 > alpha
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pfun(grid[mid], -1) > alpha:
+            hi = mid
+        else:
+            lo = mid + 1
+    closed = pfun(grid[lo], 0) > alpha
+    return OneSidedInterval(float(grid[lo]), closed), lo
+
+
 class _ProfileCache:
-    """Memoized DP profiles per (threshold, side); shared by all k and, in a
-    sensitivity curve, by every Gamma."""
+    """Memoized profiles per (threshold, side), plus the jump grid, for one
+    data set; shared by all k and, in a sensitivity curve, by every Gamma."""
 
     def __init__(self, data, transforms):
         self.data = data
         self.transforms = per_stratum_transforms(data, transforms)
         self._store = {}
+
+    @cached_property
+    def grid(self):
+        return jump_grid(self.data)
 
     def __call__(self, c, side):
         key = (float(c), side)
@@ -109,49 +155,70 @@ class _ProfileCache:
         return out
 
 
-def _treated_scope_pfun(profiles, dist, n_t, k):
-    idx = n_t - k
+def _invert_treated_family(profiles, dist, alpha, ks):
+    """One-sided 1-alpha lower bounds for the k-th sorted treated effects,
+    for ascending ks, by inverting the profile p-values over the jump grid.
 
-    def pfun(c, side):
-        return survival(dist, float(profiles(c, side)[idx]))
-
-    return pfun
-
-
-def _invert_treated_family(data, profiles, dist, alpha, target):
-    """Simultaneous 1-alpha intervals for the sorted treated effects,
-    k = 1..n_t, by inverting the profile p-values over the jump grid."""
-    grid = stratified_jump_grid(data)
-    entries = []
+    Bounds are nondecreasing in k, so each search starts at the grid point
+    where the previous one ended, unless that bound was -inf.
+    """
+    intervals = []
     lo = 0
-    for k in range(1, data.n_t + 1):
-        pfun = _treated_scope_pfun(profiles, dist, data.n_t, k)
-        interval, lo = invert_lower_bound(pfun, grid, alpha, lo_start=lo)
+    for k in ks:
+        def pfun(c, side, slots=profiles.data.n_t - k):
+            return survival(dist, float(profiles(c, side)[slots]))
+
+        interval, lo = invert_lower_bound(pfun, profiles.grid, alpha, lo_start=lo)
         if not interval.informative:
-            lo = 0
-        entries.append((k, interval))
-    return IntervalFamily(tuple(entries), 1.0 - alpha, True, target)
+            lo = 0   # -inf bound: later ks may still start anywhere
+        intervals.append(interval)
+    return intervals
 
 
-def intervals_scre(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
-    """Simultaneous 1-alpha prediction intervals for sorted effects among
-    treated units under stratified randomization, k = 1..n_t."""
-    _require_strata(data)
+def prediction_intervals_treated(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
+    """Simultaneous 1-alpha one-sided prediction intervals for the sorted
+    effects among treated units, k = 1..n_t.  Nested: bounds nondecreasing
+    in k."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if dist is None:
         dist = null_for(data, transforms, mc=mc)
-    return _invert_treated_family(data, _ProfileCache(data, transforms), dist, alpha,
-                                  "sample-quantiles-treated")
+    ks = range(1, data.n_t + 1)
+    intervals = _invert_treated_family(_ProfileCache(data, transforms), dist, alpha, ks)
+    return IntervalFamily(tuple(zip(ks, intervals)), 1.0 - alpha, True,
+                          "sample-quantiles-treated")
 
 
-def combine_scre(data, transforms, alpha, mc=DEFAULT_MC):
-    """Pooled 1-2*alpha confidence intervals for all-unit effect quantiles
-    in a stratified experiment (both orientations at alpha each)."""
-    fam_t = intervals_scre(data, transforms, alpha, mc=mc)
-    fam_c = intervals_scre(switch_labels_negate(data), transforms, alpha, mc=mc)
+intervals_scre = prediction_intervals_treated
+
+
+def intervals_from_treated_only(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
+    """Simultaneous intervals for all-unit effect quantiles built from one
+    orientation only: tau_(n_c + k) is bounded by the k-th treated-effect
+    interval, and quantiles at or below n_c get the whole real line."""
+    fam_t = prediction_intervals_treated(data, transforms, alpha, dist, mc)
+    entries = [(k, UNINFORMATIVE) for k in range(1, data.n_c + 1)]
+    entries += [(data.n_c + k, iv) for k, iv in fam_t.entries]
+    return IntervalFamily(tuple(entries), 1.0 - alpha, True, "sample-quantiles-all")
+
+
+def combine_treated_control(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
+    """Pooled simultaneous confidence intervals for all-unit effect
+    quantiles at level 1-2*alpha.
+
+    Runs the treated-effect prediction intervals on the original data and
+    on the label-switched, sign-flipped data (whose individual effects are
+    identical), pools the n one-sided intervals by inclusion, and assigns
+    the k-th largest lower bound to the k-th sorted effect.
+    """
+    fam_t = prediction_intervals_treated(data, transforms, alpha, dist, mc)
+    switched = switch_labels_negate(data)
+    fam_c = prediction_intervals_treated(switched, transforms, alpha, None, mc)
     intervals = [iv for _, iv in fam_t.entries] + [iv for _, iv in fam_c.entries]
     return pool_one_sided(intervals, "sample-quantiles-all", 1.0 - 2.0 * alpha)
+
+
+combine_scre = combine_treated_control
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +291,7 @@ def pvalue_sensitivity(data, transforms, k, c, gamma_bound, mode="pairs",
     bounded by Gamma; nondecreasing in Gamma at fixed (k, c)."""
     if dist is None:
         dist = worst_case_tail(data, transforms, gamma_bound, mode, mc)
-    base = pvalue_scre(data, transforms, k, c, dist, mc, scope, tie_shift)
+    base = pvalue(data, transforms, k, c, dist, mc, scope, tie_shift)
     return PValueResult(
         base.value, base.hypothesis, f"sensitivity(gamma={float(gamma_bound)})",
         base.statistic_min, dist.provenance,
@@ -243,8 +310,10 @@ def sensitivity_intervals(data, transforms, alpha, gamma_bound, mode="pairs",
     dist = worst_case_tail(data, transforms, gamma_bound, mode, mc)
     if profiles is None:
         profiles = _ProfileCache(data, transforms)
-    return _invert_treated_family(data, profiles, dist, alpha,
-                                  f"sample-quantiles-treated(gamma={float(gamma_bound)})")
+    ks = range(1, data.n_t + 1)
+    intervals = _invert_treated_family(profiles, dist, alpha, ks)
+    return IntervalFamily(tuple(zip(ks, intervals)), 1.0 - alpha, True,
+                          f"sample-quantiles-treated(gamma={float(gamma_bound)})")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ configuration gives the m = min(n-k, n_t) treated units with the largest
 observed outcomes unbounded effects (imputed control outcome -inf) and
 effect exactly c to everyone else.  For stratified designs the unbounded
 slots must additionally be allocated across strata, an exact integer
-resource-allocation problem solved here by dynamic programming.
+resource-allocation problem solved here by dynamic programming.  A
+completely randomized design is the one-stratum case, with no allocation
+to make.
 
 ``tie_shift`` selects the evaluation point around a threshold: 0 means the
 statistic exactly at c, -1 the limit from above (c + eps), +1 the limit
@@ -58,17 +60,6 @@ def _shift_vector(z, tie_shift):
     return np.where(np.asarray(z) == 1, tie_shift, 0)
 
 
-def min_stat_cre(data, transform, k, c, tie_shift=0):
-    """Infimum of the statistic over effect vectors with at most n-k
-    entries above c (all-units scope), for a completely randomized design."""
-    n, n_t = data.n, data.n_t
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}]")
-    m = min(n - k, n_t)
-    out = _imputed_outcomes(data.z, data.y, m, c)
-    return statistic(data.z, out, transform, _shift_vector(data.z, tie_shift))
-
-
 # entries of the cost-table index matrix built per block: bounds the
 # transient memory of one large stratum to O(n_s), not O(n_st * n_s)
 _COST_BLOCK = 1 << 15
@@ -82,6 +73,14 @@ def _cost_table_direct(z_s, y_s, transform, c, tie_shift):
         statistic(z_s, _imputed_outcomes(z_s, y_s, m, c, slots), transform, shift)
         for m in range(slots.size + 1)
     ])
+
+
+def _sorted_treated_ranks(z_s, y_s, c, tie_shift):
+    """Ascending ranks of the treated units at threshold c, none evicted."""
+    z_s = np.asarray(z_s)
+    y_s = np.asarray(y_s, dtype=float)
+    r = ranks(np.where(z_s == 1, y_s - c, y_s), _shift_vector(z_s, tie_shift))
+    return np.sort(r[z_s == 1])
 
 
 def _cost_table(z_s, y_s, transform, c, tie_shift):
@@ -98,12 +97,9 @@ def _cost_table(z_s, y_s, transform, c, tie_shift):
     the direct evaluation.  (Where every treated unit imputes to -inf, at
     c = +inf, they all share ranks 1..n_st whichever were evicted.)
     """
-    z_s = np.asarray(z_s)
-    y_s = np.asarray(y_s, dtype=float)
-    r = ranks(np.where(z_s == 1, y_s - c, y_s), _shift_vector(z_s, tie_shift))
-    R = np.sort(r[z_s == 1])
+    R = _sorted_treated_ranks(z_s, y_s, c, tie_shift)
     n_st = R.size
-    phi = transform.scores(y_s.size)
+    phi = transform.scores(len(y_s))
     f = np.empty(n_st + 1)
     cols = np.arange(n_st)
     rows = max(1, _COST_BLOCK // max(n_st, 1))
@@ -115,16 +111,42 @@ def _cost_table(z_s, y_s, transform, c, tie_shift):
     return f
 
 
-def min_stat_scre_profile(data, transforms, c, tie_shift=0):
-    """DP profile: entry u is the minimum stratified statistic when up to u
-    unbounded-effect slots may be allocated across strata (u = 0..n_t).
+class _OneStratumProfile:
+    """Profile of a one-stratum design, evaluated one entry at a time.
 
-    Per-stratum cost tables f_s(m) are exact within-stratum statistics; no
+    Entry m is row m of the stratum's ``_cost_table``: the same scores,
+    summed in the same ascending-rank order.  A threshold costs one ranking
+    and an entry O(n_t); the O(n_t^2) table is never built, because an
+    inversion reads only a few entries per threshold.
+    """
+
+    def __init__(self, R, phi):
+        self._R = R
+        self._phi = phi
+
+    def __getitem__(self, m):
+        n_t = self._R.size
+        if not 0 <= m <= n_t:
+            raise IndexError(f"profile entry {m} outside [0, {n_t}]")
+        return self._phi[np.concatenate((np.arange(m), self._R[:n_t - m] + (m - 1)))].sum()
+
+
+def min_stat_scre_profile(data, transforms, c, tie_shift=0):
+    """Profile over slot capacities: entry u is the minimum statistic when
+    up to u unbounded-effect slots may be allocated across strata
+    (u = 0..n_t).
+
+    One stratum (including a completely randomized design) gets a lazy
+    profile read off its cost table.  Otherwise a DP over per-stratum cost
+    tables f_s(m), exact within-stratum statistics, fills the profile; no
     convexity of f_s is assumed.  f_s is nonincreasing in m, so the minimum
     at capacity u is attained using all u slots and the profile itself is
     nonincreasing.
     """
     transforms = per_stratum_transforms(data, transforms)
+    if data.n_strata == 1:
+        R = _sorted_treated_ranks(data.z, data.y, c, tie_shift)
+        return _OneStratumProfile(R, transforms[0].scores(data.n))
     sizes = data.stratum_sizes()
     if all(nst == 1 for _, nst in sizes):
         return _profile_one_treated(data, transforms, c, tie_shift)
@@ -184,12 +206,16 @@ def _profile_one_treated(data, transforms, c, tie_shift):
 
 
 def min_stat_scre(data, transforms, k, c, tie_shift=0):
-    """Infimum of the stratified statistic over the all-units composite null."""
+    """Infimum of the (stratified) statistic over effect vectors with at
+    most n-k entries above c (all-units scope), for any design."""
     n = data.n
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}]")
-    dp = min_stat_scre_profile(data, transforms, c, tie_shift)
-    return float(dp[min(n - k, data.n_t)])
+    profile = min_stat_scre_profile(data, transforms, c, tie_shift)
+    return float(profile[min(n - k, data.n_t)])
+
+
+min_stat_cre = min_stat_scre
 
 
 def best_allocation(data, transforms, k, c, tie_shift=0):

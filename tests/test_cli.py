@@ -89,6 +89,39 @@ class TestQuantileCi:
         assert code == 2
 
 
+class TestStratifiedQuantileCi:
+    @pytest.fixture
+    def strata_csv(self, tmp_path):
+        p = tmp_path / "strat.csv"
+        p.write_text(TOY_STRATA)
+        return str(p)
+
+    def test_m1_all_equals_combine_scre(self, strata_csv, tmp_path):
+        code, prefix = run_cli(
+            ["quantile-ci", "--data", strata_csv, "--method", "m1", "--alpha", "0.2",
+             "--all", "--seed", "3", "--mc-draws", "2000"], tmp_path)
+        assert code == 0
+        got = json.loads(open(prefix + ".json").read())
+        from qite import MonteCarloConfig, RankTransform, combine_scre, load_experiment
+        want = combine_scre(load_experiment(TOY_STRATA), RankTransform.wilcoxon(), 0.2,
+                            mc=MonteCarloConfig(2000, 3))
+        assert got == json.loads(json.dumps(want.to_dict()))
+
+    def test_m2_is_flag_error(self, strata_csv, tmp_path, capsys):
+        code, _ = run_cli(
+            ["quantile-ci", "--data", strata_csv, "--method", "m2",
+             "--quantiles", "0.5,0.9", "--mc-draws", "2000"], tmp_path)
+        assert code == 3
+        assert "complete randomization" in capsys.readouterr().err
+
+    def test_corrected_test_is_flag_error(self, strata_csv, tmp_path, capsys):
+        code, _ = run_cli(
+            ["test", "--data", strata_csv, "--k", "n", "--c", "0", "--method",
+             "corrected", "--mc-draws", "2000"], tmp_path)
+        assert code == 3
+        assert "complete randomization" in capsys.readouterr().err
+
+
 class TestTestCmd:
     def test_k_equals_n_small_p_for_positive_shift(self, toy_csv, tmp_path):
         code, prefix = run_cli(
@@ -175,7 +208,7 @@ class TestSimulateCmd:
         code, prefix = run_cli(
             ["simulate", "--study", "method-comparison", "--replications", "3",
              "--n", "20", "--rho2", "0.5", "--statistic", "stephenson", "--s", "2",
-             "--seed", "9", "--mc-draws", "2000", "--threads", "1"], tmp_path)
+             "--seed", "9", "--mc-draws", "2000"], tmp_path)
         assert code == 0
         rows = open(prefix + ".csv").read().splitlines()
         assert rows[0] == "rho2,quantile_pct,method_or_gamma,median_lower,n_informative"
@@ -185,7 +218,7 @@ class TestSimulateCmd:
         code, prefix = run_cli(
             ["simulate", "--study", "coverage", "--procedure", "single-quantile",
              "--replications", "10", "--n", "16", "--seed", "10",
-             "--mc-draws", "2000", "--threads", "1"], tmp_path)
+             "--mc-draws", "2000"], tmp_path)
         assert code == 0
         out = json.loads(open(prefix + ".json").read())
         assert 0.0 <= out["coverage"] <= 1.0

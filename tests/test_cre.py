@@ -355,3 +355,19 @@ class TestPvalueIdentityBothRoutes:
             p_treated = dist.survival(brute_force_min(d, W, "treated", k, c))
             p_all = dist.survival(brute_force_min(d, W, "all", d.n_c + k, c))
             assert p_treated == p_all
+
+
+class TestCountCorrectionNeedsCompleteRandomization:
+    def test_stratified_data_rejected(self):
+        d = ExperimentData.from_arrays(
+            [1, 0, 0, 1, 0, 1], [3.0, 1.0, 2.0, 4.0, 2.5, 1.5], ["a", "a", "a", "b", "b", "b"])
+        calls = [
+            lambda: corrected_pvalue(d, W, 4, 0.0, 1),
+            lambda: ci_single(d, W, 4, 0.2, 0.5),
+            lambda: ci_count(d, W, 0.0, 0.2, 0.5),
+            lambda: simultaneous_cis(d, W, [4, 5], 0.2, 0.5, MC),
+            lambda: simultaneous_cis(d, W, [4, 5], 0.2, 0.5, MC, combine_sides=True),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="complete randomization"):
+                call()

@@ -10,7 +10,7 @@ from qite import (
     ExperimentData, MonteCarloConfig, NullDistribution, RankTransform,
     null_distribution, null_for, ranks, statistic, stratified_statistic, survival,
 )
-from qite.engine import ExactEnumerationError
+from qite.engine import ExactEnumerationError, convolve_discrete
 
 NEG_INF = float("-inf")
 W = RankTransform.wilcoxon()
@@ -171,6 +171,33 @@ class TestNullDistributionScre:
         nd = null_distribution(("scre", ((2, 1), (3, 1))), trs, mode="exact")
         # stratum 1 contributes {1, 2}; stratum 2 contributes {0, 1, 2}
         assert nd.support.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+class TestExactCap:
+    # a real-valued table makes almost every subset sum distinct, so the
+    # convolved support passes the cap although each stratum fits it
+    SIZES = ((10, 5),) * 3
+    TABLE = RankTransform.from_table(np.cumsum(np.random.default_rng(0).random(10)))
+
+    def test_auto_falls_back_to_monte_carlo(self):
+        mc = MonteCarloConfig(2_000, 8)
+        nd = null_distribution(("scre", self.SIZES), self.TABLE, mode="auto", mc=mc,
+                               cap=5000)
+        assert nd.provenance == ("mc", 2_000, 8)
+        ref = null_distribution(("scre", self.SIZES), self.TABLE, mode="mc", mc=mc,
+                                cap=5000)
+        assert np.array_equal(nd.support, ref.support) and np.array_equal(nd.tail, ref.tail)
+
+    def test_exact_mode_still_raises(self):
+        with pytest.raises(ExactEnumerationError):
+            null_distribution(("scre", self.SIZES), self.TABLE, mode="exact", cap=5000)
+
+    def test_convolution_bounded_before_allocating(self):
+        part = (np.arange(100.0), np.full(100, 0.01))
+        with pytest.raises(ExactEnumerationError, match="100 by 100"):
+            convolve_discrete([part, part], cap=5000)
+        vals, _ = convolve_discrete([part, part], cap=10_000)
+        assert vals.size == 199
 
 
 class TestSerialization:

@@ -76,14 +76,6 @@ class TestStudies:
         b = method_comparison(spec, quantiles=(0.8,), s=2, mc=MC, methods=("m1",))
         assert a == b
 
-    def test_threads_do_not_change_results(self):
-        spec = DgpSpec(n=30, rho2=0.4, replications=6, seed=9)
-        a = method_comparison(spec, quantiles=(0.8,), s=2, mc=MC, methods=("m1",),
-                              threads=1)
-        b = method_comparison(spec, quantiles=(0.8,), s=2, mc=MC, methods=("m1",),
-                              threads=4)
-        assert a == b
-
     def test_csv_emission(self, tmp_path):
         rows = [{"rho2": 0.5, "quantile_pct": 50, "method_or_gamma": "m0",
                  "median_lower": NEG_INF, "n_informative": 0}]

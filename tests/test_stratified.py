@@ -11,7 +11,7 @@ from qite import (
 )
 from qite.model import NEG_INF
 from qite import stratified
-from qite.stratified import SensitivityModel, sensitivity_intervals
+from qite.stratified import sensitivity_intervals
 
 from conftest import random_cre, random_scre
 
@@ -90,11 +90,6 @@ class TestPvalueScre:
             b = pvalue_scre(d, W, d.n_c + k, c, scope="all").value
             assert a == b
 
-    def test_requires_strata(self):
-        d = ExperimentData.from_arrays([1, 0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            pvalue_scre(d, W, 1, 0.0)
-
 
 class TestIntervalsScre:
     def test_single_stratum_identical_to_cre_path(self):
@@ -106,6 +101,20 @@ class TestIntervalsScre:
             b = intervals_scre(strat, W, 0.3)
             assert [(k, iv.lower, iv.closed) for k, iv in a.entries] == \
                 [(k, iv.lower, iv.closed) for k, iv in b.entries]
+
+    @pytest.mark.parametrize("transform", [W, RankTransform.stephenson(3)])
+    def test_cre_family_equals_single_label_family(self, transform):
+        # n = 20 keeps both nulls exact, so they agree across the designs
+        rng = np.random.default_rng(7)
+        n = 20
+        z = np.zeros(n, dtype=int)
+        z[rng.permutation(n)[:9]] = 1
+        y = np.round(rng.normal(0.0, 2.0, n) + z, 1)
+        flat = ExperimentData.from_arrays(z, y)
+        strat = ExperimentData.from_arrays(z, y, ["s"] * n)
+        a = combine_scre(flat, transform, 0.1, mc=MC)
+        b = combine_scre(strat, transform, 0.1, mc=MC)
+        assert a == b
 
     def test_per_stratum_shift_invariance(self):
         d = ExperimentData.from_arrays(
@@ -217,8 +226,6 @@ class TestWorstCaseTail:
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError):
             worst_case_tail(pairs_data(), W, 0.5, mode="pairs")
-        with pytest.raises(ValueError):
-            SensitivityModel(0.9)
 
 
 class TestPvalueSensitivity:

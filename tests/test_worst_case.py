@@ -272,3 +272,53 @@ class TestProfileProperties:
         fast = _cost_table(z, y, tr, c, side)
         direct = _cost_table_direct(z, y, tr, c, side)
         assert fast.tobytes() == direct.tobytes()
+
+
+@st.composite
+def cre_designs(draw):
+    """Small completely randomized design (n <= 8, n_t = 1 included), its
+    transform, and one threshold and side.  Integer outcomes make ties
+    likely; table scores are real-valued, so their sums round."""
+    n = draw(st.integers(2, 8))
+    n_t = draw(st.integers(1, n - 1))
+    z = draw(st.permutations([1] * n_t + [0] * (n - n_t)))
+    y = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5]), min_size=n, max_size=n))
+    d = ExperimentData.from_arrays(z, np.array(y))
+    kind = draw(st.sampled_from(["wilcoxon", "stephenson", "table"]))
+    if kind == "wilcoxon":
+        tr = W
+    elif kind == "stephenson":
+        tr = RankTransform.stephenson(draw(st.integers(2, 3)))
+    else:
+        steps = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+        tr = RankTransform.from_table(np.cumsum(steps))
+    grid = jump_grid(d)
+    c = draw(st.sampled_from([*grid.tolist(), float("inf"), float("-inf")]))
+    side = draw(st.sampled_from([-1, 0, 1]))
+    return d, tr, c, side
+
+
+class TestOneStratumProfile:
+    @settings(max_examples=200, deadline=None)
+    @given(case=cre_designs(), data=st.data())
+    def test_entries_equal_direct_cost_table(self, case, data):
+        d, tr, c, side = case
+        prof = min_stat_scre_profile(d, tr, c, side)
+        direct = _cost_table_direct(d.z, d.y, tr, c, side)
+        for u in range(d.n_t + 1):
+            assert float(prof[u]).hex() == float(direct[u]).hex()
+        k = data.draw(st.integers(0, d.n))
+        assert prof[min(d.n - k, d.n_t)] == brute_force_min(d, tr, "all", k, c, side)
+
+    def test_single_label_takes_the_one_stratum_path(self):
+        # one treated unit and one stratum label: the entries are exact
+        # statistics, not a total minus savings
+        d = ExperimentData.from_arrays([0, 1, 0], [0.2, 0.5, 0.1], ["s"] * 3)
+        tr = RankTransform.from_table([0.1, 0.7, 1.3])
+        prof = min_stat_scre_profile(d, tr, 0.0)
+        assert (prof[0], prof[1]) == (1.3, 0.1)
+
+    def test_entry_out_of_range(self):
+        d = ExperimentData.from_arrays([1, 0, 0], [5.0, 1.0, 2.0])
+        with pytest.raises(IndexError):
+            min_stat_scre_profile(d, W, 0.0)[2]
