@@ -51,6 +51,16 @@ def _float_list(text):
         raise FlagError(f"expected a comma-separated number list, got {text!r}") from None
 
 
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise FlagError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise FlagError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser():
     p = _Parser(prog="qite", description=__doc__)
     p.add_argument("--version", action="version", version=f"qite {__version__}")
@@ -88,7 +98,7 @@ def _build_parser():
     sp = sub.add_parser("test", help="p-value for a quantile hypothesis")
     add_common(sp)
     sp.add_argument("--k", required=True, help="quantile index, or 'n'")
-    sp.add_argument("--c", type=float, required=True, help="effect threshold")
+    sp.add_argument("--c", type=_finite_float, required=True, help="effect threshold")
     sp.add_argument("--scope", choices=("all", "treated"), default="all")
     sp.add_argument("--method", choices=("original", "corrected"), default="original")
     sp.add_argument("--gamma", type=float, default=0.5)

@@ -3,7 +3,9 @@
 The statistic is sum over treated units of phi(rank of outcome), with ties
 broken by unit position.  Under complete randomization its distribution is
 free of the outcome values: it depends only on (n, n_t, phi), which is what
-makes exact enumeration and reusable null distributions possible.
+makes exact and reusable null distributions possible.  Exact nulls count
+subsets by their score sum when the scores are integers (enumerating them
+otherwise); Monte Carlo nulls sum the scores of seeded random subsets.
 """
 
 from __future__ import annotations
@@ -170,13 +172,66 @@ def _merge_atoms(values, weights):
     return vals, w
 
 
+def _exact_float_sums(phi):
+    """Whether every float sum of entries of phi is an exact integer.
+
+    True for integer-valued scores whose absolute values total less than
+    2**53 (no -0.0): then every partial sum is exact in any order, so it
+    equals the ascending-order sum bit for bit.
+    """
+    return bool(np.all(phi == np.round(phi)) and np.abs(phi).sum() < 2.0 ** 53
+                and not np.signbit(phi[phi == 0]).any())
+
+
 def _exact_subset_sums(phi, n, n_t, cap):
-    """Support and counts of sum(phi[S]) over all n_t-subsets of 0..n-1."""
+    """Support and counts of sum(phi[S]) over all n_t-subsets of 0..n-1.
+
+    Integer-valued scores are counted by their sums; other score tables,
+    and sum ranges too wide for a table of ``cap`` counts, are enumerated.
+    """
     total = math.comb(n, n_t)
     if total > cap:
         raise ExactEnumerationError(
             f"C({n},{n_t}) = {total} assignments exceed the exact cap {cap}; use Monte Carlo"
         )
+    counted = _counted_subset_sums(phi, n_t, cap)
+    return counted if counted is not None else _enumerated_subset_sums(phi, n, n_t)
+
+
+def _counted_subset_sums(phi, n_t, cap):
+    """Subset-sum counts by the shift recursion (Streitberg & Rohmel 1986).
+
+    With every score lowered by the smallest one, ways[j, s] counts the
+    j-subsets of the scores seen so far whose sum is s; adding a score v
+    shifts row j-1 by v into row j.  Returns None unless the scores have exact float sums and
+    the (n_t + 1) x (range + 1) table fits the cap.
+    """
+    if not _exact_float_sums(phi):
+        return None
+    n = phi.size
+    lo = phi.min()
+    q = (phi - lo).astype(np.int64)
+    top = np.sort(q)[n - n_t:].sum(dtype=float)
+    if (n_t + 1) * (top + 1) > cap:
+        return None
+    top = int(top)
+    ways = np.zeros((n_t + 1, top + 1), dtype=np.int64)
+    ways[0, 0] = 1
+    reach = 0   # largest sum any row can hold so far
+    for i, v in enumerate(q.tolist()):
+        reach = min(reach + v, top)
+        # rows item i can reach that can still grow to n_t items; j going
+        # down so that row j - 1 is read before it is updated
+        for j in range(min(i + 1, n_t), max(1, n_t - (n - 1 - i)) - 1, -1):
+            ways[j, v:reach + 1] += ways[j - 1, :reach + 1 - v]
+    w = ways[n_t]
+    nz = np.flatnonzero(w)
+    return (nz + n_t * int(lo)).astype(float), w[nz].astype(float)
+
+
+def _enumerated_subset_sums(phi, n, n_t):
+    """Reference: enumerate every n_t-subset and merge equal sums."""
+    total = math.comb(n, n_t)
     vals = np.empty(total, dtype=float)
     pos = 0
     it = itertools.combinations(range(n), n_t)
@@ -190,19 +245,45 @@ def _exact_subset_sums(phi, n, n_t, cap):
     return _merge_atoms(vals, np.ones(total))
 
 
+# uniforms per Monte Carlo block: 2 MB, about a typical per-core cache
+_MC_BLOCK = 2 ** 18
+
+
 def _mc_subset_sums(phi, n, n_t, mc, tag, stream):
-    """Monte Carlo draws of sum(phi[S]) over random n_t-subsets."""
+    """Monte Carlo draws of sum(phi[S]) over random n_t-subsets.
+
+    Draw r takes the n_t smallest of row r of ``rng.random((draws, n))``;
+    rows come in blocks, which leaves the stream and the draws unchanged.
+    """
     rng = rng_for(mc.seed, tag, stream)
-    out = np.empty(mc.draws, dtype=float)
-    pos = 0
-    chunk = max(1, min(mc.draws, 4_000_000 // max(n, 1)))
-    while pos < mc.draws:
-        m = min(chunk, mc.draws - pos)
-        u = rng.random((m, n))
-        sel = np.argpartition(u, n_t - 1, axis=1)[:, :n_t]
-        out[pos:pos + m] = np.sort(phi[sel], axis=1).sum(axis=1) if n_t else 0.0
-        pos += m
+    out = np.zeros(mc.draws, dtype=float)
+    if n_t == 0:
+        return out
+    exact = _exact_float_sums(phi)
+    rows = max(1, _MC_BLOCK // max(n, 1))
+    for pos in range(0, mc.draws, rows):
+        u = rng.random((min(rows, mc.draws - pos), n))
+        sums = _threshold_sums(u, phi, n_t) if exact else None
+        out[pos:pos + u.shape[0]] = _sorted_sums(u, phi, n_t) if sums is None else sums
     return out
+
+
+def _threshold_sums(u, phi, n_t):
+    """Select each row's n_t smallest uniforms by the value of the n_t-th.
+
+    The masked sum is exact only when phi has exact float sums; returns
+    None when some row ties at the threshold, so that more than n_t
+    entries pass it.
+    """
+    kth = np.partition(u, n_t - 1, axis=1)[:, n_t - 1:n_t]
+    sums, counts = ((u <= kth) @ np.stack([phi, np.ones_like(phi)], axis=1)).T
+    return sums if np.all(counts == n_t) else None
+
+
+def _sorted_sums(u, phi, n_t):
+    """Reference: gather each row's n_t smallest and sum them sorted."""
+    sel = np.argpartition(u, n_t - 1, axis=1)[:, :n_t]
+    return np.sort(phi[sel], axis=1).sum(axis=1)
 
 
 def convolve_discrete(parts, cap=EXACT_CAP_DEFAULT):
@@ -233,12 +314,22 @@ def null_distribution(design, transforms, mode="auto", mc=DEFAULT_MC, cap=EXACT_
     design: ("cre", n, n_t) or ("scre", ((n_s, n_st), ...)).
     mode: "exact", "mc", or "auto" (exact when within the cap, else seeded
     Monte Carlo, recorded as such in the provenance).
-    CRE enumerates treated-rank subsets; SCRE convolves exact per-stratum
+    CRE counts (or enumerates) treated-rank subsets by their score sum,
+    which needs C(n, n_t) <= cap; SCRE convolves exact per-stratum
     distributions when every stratum and the convolution fit the cap, else
-    samples strata jointly with a seeded generator.
+    samples strata jointly with a seeded generator.  A one-stratum SCRE is
+    the CRE and gets the same null.
     """
     key_transforms = transforms if hasattr(transforms, "scores") else tuple(transforms)
-    return _null_cached(tuple(design), key_transforms, mode, mc, cap)
+    design = tuple(design)
+    if design[0] == "scre" and len(design[1]) == 1:
+        (n, n_t), = design[1]
+        design = ("cre", n, n_t)
+        if not hasattr(key_transforms, "scores"):
+            if len(key_transforms) != 1:
+                raise ValueError("one transform per stratum required")
+            key_transforms = key_transforms[0]
+    return _null_cached(design, key_transforms, mode, mc, cap)
 
 
 @lru_cache(maxsize=128)
@@ -278,15 +369,11 @@ def _null_cached(design, transforms, mode, mc, cap):
 
 
 def _exact_scre_null(sizes, transforms, cap, design):
-    if len(sizes) == 1:
-        (ns, nst), tr = sizes[0], transforms[0]
-        vals, wts = _exact_subset_sums(tr.scores(ns), ns, nst, cap)
-    else:
-        parts = []
-        for (ns, nst), tr in zip(sizes, transforms):
-            v, w = _exact_subset_sums(tr.scores(ns), ns, nst, cap)
-            parts.append((v, w / w.sum()))
-        vals, wts = convolve_discrete(parts, cap)
+    parts = []
+    for (ns, nst), tr in zip(sizes, transforms):
+        v, w = _exact_subset_sums(tr.scores(ns), ns, nst, cap)
+        parts.append((v, w / w.sum()))
+    vals, wts = convolve_discrete(parts, cap)
     return discrete_null(vals, wts, provenance=("exact",), design=design)
 
 

@@ -154,6 +154,15 @@ class TestTestCmd:
         out = json.loads(open(prefix + ".json").read())
         assert out["method"] == "stratified"
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_flag_error(self, toy_csv, tmp_path, capsys, c):
+        code, prefix = run_cli(
+            ["test", "--data", toy_csv, "--k", "n", f"--c={c}", "--mc-draws", "2000"],
+            tmp_path)
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".json")
+
 
 class TestSensitivityCmd:
     def test_pairs_grid(self, tmp_path):

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from qite import (
     ExperimentData, MonteCarloConfig, NullDistribution, RankTransform,
-    null_distribution, null_for, ranks, statistic, stratified_statistic, survival,
+    null_distribution, null_for, prediction_intervals_treated, ranks, statistic,
+    stratified_statistic, survival,
 )
-from qite.engine import ExactEnumerationError, convolve_discrete
+from qite import engine
+from qite.engine import ExactEnumerationError, convolve_discrete, discrete_null
+from qite.model import rng_for
 
 NEG_INF = float("-inf")
 W = RankTransform.wilcoxon()
@@ -222,3 +225,157 @@ def test_null_for_dispatches_on_strata():
     assert nd.design[0] == "scre"
     d2 = ExperimentData.from_arrays([1, 0], [1.0, 2.0])
     assert null_for(d2, W).design[0] == "cre"
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _argpartition_sampler(phi, n, n_t, mc, tag, stream):
+    """The reference sampler: the same stream in chunks of 4e6 uniforms,
+    each draw's n_t smallest by argpartition, scores summed sorted."""
+    rng = rng_for(mc.seed, tag, stream)
+    out = np.empty(mc.draws, dtype=float)
+    pos = 0
+    chunk = max(1, min(mc.draws, 4_000_000 // max(n, 1)))
+    while pos < mc.draws:
+        m = min(chunk, mc.draws - pos)
+        u = rng.random((m, n))
+        sel = np.argpartition(u, n_t - 1, axis=1)[:, :n_t]
+        out[pos:pos + m] = np.sort(phi[sel], axis=1).sum(axis=1) if n_t else 0.0
+        pos += m
+    return out
+
+
+INTEGER_TRANSFORMS = [W] + [RankTransform.stephenson(s) for s in range(2, 7)] + [
+    RankTransform.from_table([0, 0, 0, 1, 1, 2, 3, 3, 3, 5, 8, 8, 13, 21]),
+    RankTransform.from_table([-4, -4, -1, 0, 0, 0, 2, 2, 7, 7, 7, 9, 30, 30]),
+]
+
+
+class TestCountedExactNull:
+    @pytest.mark.parametrize("transform", INTEGER_TRANSFORMS, ids=lambda t: t.label())
+    def test_recursion_equals_enumeration(self, transform):
+        for n in range(1, 15):
+            phi = transform.scores(n)
+            for n_t in range(n + 1):
+                counted = engine._counted_subset_sums(phi, n_t, engine.EXACT_CAP_DEFAULT)
+                assert counted is not None
+                enumerated = engine._enumerated_subset_sums(phi, n, n_t)
+                assert _bitwise_equal(counted[0], enumerated[0]), (n, n_t)
+                assert _bitwise_equal(counted[1], enumerated[1]), (n, n_t)
+
+    def test_stratified_convolution_equals_enumeration(self):
+        sizes = ((6, 3), (5, 2), (7, 4))
+        trs = (RankTransform.stephenson(3), INTEGER_TRANSFORMS[-1], W)
+        parts = []
+        for (ns, nst), tr in zip(sizes, trs):
+            v, w = engine._enumerated_subset_sums(tr.scores(ns), ns, nst)
+            parts.append((v, w / w.sum()))
+        want = discrete_null(*convolve_discrete(parts))
+        got = null_distribution(("scre", sizes), trs, mode="exact")
+        assert _bitwise_equal(got.support, want.support)
+        assert _bitwise_equal(got.tail, want.tail)
+
+    def test_real_valued_scores_are_enumerated(self):
+        phi = TestExactCap.TABLE.scores(10)
+        assert engine._counted_subset_sums(phi, 5, engine.EXACT_CAP_DEFAULT) is None
+        got = engine._exact_subset_sums(phi, 10, 5, engine.EXACT_CAP_DEFAULT)
+        want = engine._enumerated_subset_sums(phi, 10, 5)
+        assert all(_bitwise_equal(g, w) for g, w in zip(got, want))
+
+    def test_wide_range_falls_back_to_enumeration(self):
+        # Stephenson(6) sums span about 3.8e10 at n = 300: the count table
+        # would pass the cap although C(300, 2) = 44,850 subsets fit it
+        phi = RankTransform.stephenson(6).scores(300)
+        assert engine._exact_float_sums(phi)
+        assert engine._counted_subset_sums(phi, 2, engine.EXACT_CAP_DEFAULT) is None
+        got = engine._exact_subset_sums(phi, 300, 2, engine.EXACT_CAP_DEFAULT)
+        want = engine._enumerated_subset_sums(phi, 300, 2)
+        assert all(_bitwise_equal(g, w) for g, w in zip(got, want))
+
+
+class TestThresholdSampler:
+    @pytest.mark.parametrize("tag", [engine._TAG_CRE_NULL, engine._TAG_SCRE_NULL])
+    @pytest.mark.parametrize("n,n_t,draws", [
+        (40, 17, 20_000),   # 6,553-row blocks: the draws cross three boundaries
+        (40, 1, 7_000),
+        (40, 39, 7_000),
+        (1000, 500, 700),   # 262-row blocks; the reference draws 4,000 rows at once
+    ])
+    @pytest.mark.parametrize("transform", [W, RankTransform.stephenson(4)],
+                             ids=lambda t: t.label())
+    def test_equals_argpartition_sampler(self, monkeypatch, tag, n, n_t, draws, transform):
+        assert draws % (engine._MC_BLOCK // n) != 0
+        fallbacks = []
+        sorted_sums = engine._sorted_sums
+        monkeypatch.setattr(engine, "_sorted_sums",
+                            lambda *a: fallbacks.append(1) or sorted_sums(*a))
+        mc = MonteCarloConfig(draws, 31)
+        phi = transform.scores(n)
+        for stream in (0, 3):
+            got = engine._mc_subset_sums(phi, n, n_t, mc, tag, stream)
+            assert _bitwise_equal(got, _argpartition_sampler(phi, n, n_t, mc, tag, stream))
+        assert not fallbacks
+
+    def test_real_valued_scores_use_sorted_sums(self):
+        phi = TestExactCap.TABLE.scores(10)
+        mc = MonteCarloConfig(3_000, 4)
+        got = engine._mc_subset_sums(phi, 10, 5, mc, engine._TAG_SCRE_NULL, 2)
+        want = _argpartition_sampler(phi, 10, 5, mc, engine._TAG_SCRE_NULL, 2)
+        assert _bitwise_equal(got, want)
+
+    def test_tied_uniform_at_threshold_takes_fallback(self, monkeypatch):
+        n, n_t = 8, 3
+        phi = RankTransform.stephenson(3).scores(n)
+        u = np.random.default_rng(5).random((6, n))
+        order = np.argsort(u[2])
+        u[2, order[n_t]] = u[2, order[n_t - 1]]   # the n_t-th and next smallest tie
+        assert engine._threshold_sums(u, phi, n_t) is None
+        assert engine._threshold_sums(np.delete(u, 2, axis=0), phi, n_t) is not None
+
+        class Crafted:   # a generator whose one block is u
+            def random(self, shape):
+                assert shape == u.shape
+                return u
+
+        monkeypatch.setattr(engine, "rng_for", lambda *tags: Crafted())
+        got = engine._mc_subset_sums(phi, n, n_t, MonteCarloConfig(6, 1), 0, 0)
+        assert _bitwise_equal(got, engine._sorted_sums(u, phi, n_t))
+
+    def test_sums_past_2_53_use_sorted_sums(self, monkeypatch):
+        n, n_t = 2000, 1000
+        phi = RankTransform.stephenson(6).scores(n)
+        assert phi.sum() > 2.0 ** 53
+        assert not engine._exact_float_sums(phi)
+
+        def refuse(*args):
+            raise AssertionError("threshold sums are not exact past 2**53")
+
+        monkeypatch.setattr(engine, "_threshold_sums", refuse)
+        mc = MonteCarloConfig(300, 6)
+        got = engine._mc_subset_sums(phi, n, n_t, mc, engine._TAG_CRE_NULL, 0)
+        want = _argpartition_sampler(phi, n, n_t, mc, engine._TAG_CRE_NULL, 0)
+        assert _bitwise_equal(got, want)
+
+
+class TestOneNullPerDesign:
+    def test_one_label_twin_gets_the_cre_null(self):
+        rng = np.random.default_rng(12)
+        n = 30
+        z = np.zeros(n, dtype=int)
+        z[rng.permutation(n)[:13]] = 1
+        y = np.round(rng.normal(0.0, 2.0, n) + z, 1)
+        flat = ExperimentData.from_arrays(z, y)
+        twin = ExperimentData.from_arrays(z, y, ["s"] * n)
+        mc = MonteCarloConfig(500, 9)
+        a = null_for(flat, W, mc=mc, cap=1000)
+        engine._null_cached.cache_clear()
+        b = null_for(twin, W, mc=mc, cap=1000)
+        assert a.provenance == b.provenance == ("mc", 500, 9)
+        assert _bitwise_equal(a.support, b.support) and _bitwise_equal(a.tail, b.tail)
+        engine._null_cached.cache_clear()
+        assert (prediction_intervals_treated(flat, W, 0.1, mc=mc)
+                == prediction_intervals_treated(twin, W, 0.1, mc=mc))
