@@ -166,8 +166,9 @@ def _family_csv(family, path):
 def _emit(args, payload, digest, started, family=None, rows=None):
     prefix = args.output
     paths = {"json": f"{prefix}.json"}
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(paths["json"], "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(text)
     if family is not None:
         paths["csv"] = f"{prefix}.csv"
         _family_csv(family, paths["csv"])
@@ -186,8 +187,7 @@ def _emit(args, payload, digest, started, family=None, rows=None):
     }
     with open(f"{prefix}.manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(text + "\n")
 
 
 def _warn_if_uninformative(family):
@@ -286,6 +286,10 @@ def cmd_population_ci(args):
 def cmd_simulate(args):
     started = time.monotonic()
     mc = MonteCarloConfig(args.mc_draws, _resolve_seed(args))
+    if not args.rho2:
+        raise FlagError("--rho2 needs at least one value")
+    if args.study != "method-comparison" and len(args.rho2) > 1:
+        raise FlagError(f"--study {args.study} takes one --rho2 value, got {len(args.rho2)}")
     spec = DgpSpec(n=args.n, rho2=args.rho2[0], replications=args.replications,
                    seed=_resolve_seed(args))
     if args.study == "method-comparison":
@@ -301,7 +305,7 @@ def cmd_simulate(args):
     else:
         result = coverage_audit(args.procedure, spec, alpha=args.alpha,
                                 transform=_transform(args), mc=mc,
-                                gamma=args.gamma)
+                                quantiles=tuple(args.quantiles), gamma=args.gamma)
         rows = None
         payload = {
             "study": "coverage",

@@ -311,70 +311,54 @@ def convolve_discrete(parts, cap=EXACT_CAP_DEFAULT):
 def null_distribution(design, transforms, mode="auto", mc=DEFAULT_MC, cap=EXACT_CAP_DEFAULT):
     """Null distribution of the (stratified) rank-score statistic.
 
-    design: ("cre", n, n_t) or ("scre", ((n_s, n_st), ...)).
-    mode: "exact", "mc", or "auto" (exact when within the cap, else seeded
-    Monte Carlo, recorded as such in the provenance).
-    CRE counts (or enumerates) treated-rank subsets by their score sum,
-    which needs C(n, n_t) <= cap; SCRE convolves exact per-stratum
-    distributions when every stratum and the convolution fit the cap, else
-    samples strata jointly with a seeded generator.  A one-stratum SCRE is
+    design: ("cre", n, n_t) or ("scre", ((n_s, n_st), ...)); both become
+    stratum sizes with one transform per stratum, and a one-stratum SCRE is
     the CRE and gets the same null.
+    mode: "exact", "mc", or "auto" (exact when every stratum's C(n_s, n_st)
+    fits the cap, else seeded Monte Carlo, recorded as such in the
+    provenance).  Exact nulls count (or enumerate) each stratum's
+    treated-rank subsets by their score sum and convolve the strata, which
+    must also fit the cap; "auto" falls back to Monte Carlo if it does not.
     """
-    key_transforms = transforms if hasattr(transforms, "scores") else tuple(transforms)
-    design = tuple(design)
-    if design[0] == "scre" and len(design[1]) == 1:
-        (n, n_t), = design[1]
-        design = ("cre", n, n_t)
-        if not hasattr(key_transforms, "scores"):
-            if len(key_transforms) != 1:
-                raise ValueError("one transform per stratum required")
-            key_transforms = key_transforms[0]
-    return _null_cached(design, key_transforms, mode, mc, cap)
+    if design[0] == "cre":
+        sizes = (tuple(design[1:]),)
+    elif design[0] == "scre":
+        sizes = tuple(design[1])
+    else:
+        raise ValueError(f"unknown design {design[0]!r}")
+    if len(sizes) == 1 and not 1 <= sizes[0][1] < sizes[0][0]:
+        raise ValueError("CRE design needs 1 <= n_t < n")
+    if hasattr(transforms, "scores"):
+        transforms = (transforms,) * len(sizes)
+    transforms = tuple(transforms)
+    if len(transforms) != len(sizes):
+        raise ValueError("one transform per stratum required")
+    return _null_cached(sizes, transforms, mode, mc, cap)
 
 
 @lru_cache(maxsize=128)
-def _null_cached(design, transforms, mode, mc, cap):
-    if design[0] == "cre":
-        _, n, n_t = design
-        if not (1 <= n_t < n):
-            raise ValueError("CRE design needs 1 <= n_t < n")
-        phi = transforms.scores(n) if hasattr(transforms, "scores") else transforms[0].scores(n)
-        if mode == "auto":
-            mode = "exact" if math.comb(n, n_t) <= cap else "mc"
-        if mode == "exact":
-            vals, wts = _exact_subset_sums(phi, n, n_t, cap)
+def _null_cached(sizes, transforms, mode, mc, cap):
+    design = ("cre", *sizes[0]) if len(sizes) == 1 else ("scre", sizes)
+    strata = tuple(zip(sizes, transforms))
+    if mode == "exact" or (
+            mode == "auto" and all(math.comb(ns, nst) <= cap for ns, nst in sizes)):
+        try:
+            parts = [_exact_subset_sums(tr.scores(ns), ns, nst, cap) for (ns, nst), tr in strata]
+            # one stratum's counts go in as they are: normalizing them
+            # would change the bits of the tail
+            vals, wts = parts[0] if len(parts) == 1 else convolve_discrete(
+                [(v, w / w.sum()) for v, w in parts], cap)
             return discrete_null(vals, wts, provenance=("exact",), design=design)
-        draws = _mc_subset_sums(phi, n, n_t, mc, _TAG_CRE_NULL, 0)
-        return _mc_null(draws, ("mc", mc.draws, mc.seed), design)
-
-    if design[0] == "scre":
-        sizes = design[1]
-        if hasattr(transforms, "scores"):
-            transforms = (transforms,) * len(sizes)
-        if len(transforms) != len(sizes):
-            raise ValueError("one transform per stratum required")
-        if mode == "exact" or (
-                mode == "auto" and all(math.comb(ns, nst) <= cap for ns, nst in sizes)):
-            try:
-                return _exact_scre_null(sizes, transforms, cap, design)
-            except ExactEnumerationError:
-                if mode == "exact":
-                    raise
-        total = np.zeros(mc.draws)
-        for s, ((ns, nst), tr) in enumerate(zip(sizes, transforms)):
-            total += _mc_subset_sums(tr.scores(ns), ns, nst, mc, _TAG_SCRE_NULL, s)
-        return _mc_null(total, ("mc", mc.draws, mc.seed), design)
-
-    raise ValueError(f"unknown design {design[0]!r}")
-
-
-def _exact_scre_null(sizes, transforms, cap, design):
-    parts = []
-    for (ns, nst), tr in zip(sizes, transforms):
-        v, w = _exact_subset_sums(tr.scores(ns), ns, nst, cap)
-        parts.append((v, w / w.sum()))
-    vals, wts = convolve_discrete(parts, cap)
-    return discrete_null(vals, wts, provenance=("exact",), design=design)
+        except ExactEnumerationError:
+            if mode == "exact":
+                raise
+    # seeded streams: stream 0 of the CRE tag for one stratum, stream s of
+    # the SCRE tag for stratum s of several
+    tag = _TAG_CRE_NULL if len(sizes) == 1 else _TAG_SCRE_NULL
+    draws = (_mc_subset_sums(tr.scores(ns), ns, nst, mc, tag, s)
+             for s, ((ns, nst), tr) in enumerate(strata))
+    total = next(draws) if len(sizes) == 1 else sum(draws, np.zeros(mc.draws))
+    return _mc_null(total, ("mc", mc.draws, mc.seed), design)
 
 
 def _mc_null(draws, provenance, design):
@@ -392,8 +376,5 @@ def _mc_null(draws, provenance, design):
 
 def null_for(data, transforms, mode="auto", mc=DEFAULT_MC, cap=EXACT_CAP_DEFAULT):
     """Null distribution matching the design of an ExperimentData."""
-    if data.strata is None:
-        tr = transforms if hasattr(transforms, "scores") else tuple(transforms)[0]
-        return null_distribution(("cre", data.n, data.n_t), tr, mode, mc, cap)
-    transforms = per_stratum_transforms(data, transforms)
-    return null_distribution(("scre", data.stratum_sizes()), transforms, mode, mc, cap)
+    return null_distribution(("scre", data.stratum_sizes()),
+                             per_stratum_transforms(data, transforms), mode, mc, cap)

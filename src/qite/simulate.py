@@ -16,10 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .model import (
-    DEFAULT_MC, ExperimentData, NEG_INF, RankTransform, rng_for,
-    switch_labels_negate,
-)
+from .model import DEFAULT_MC, ExperimentData, NEG_INF, RankTransform, rng_for
 from .cre import ci_single, simultaneous_cis
 from .population import PopulationTarget, population_cis
 from .stratified import combine_treated_control, intervals_from_treated_only
@@ -114,14 +111,6 @@ def method_comparison(spec, rho2s=None, quantiles=(0.5, 0.6, 0.7, 0.8, 0.9),
                 fam = simultaneous_cis(data, transform, ks, alpha, gamma, mc,
                                        combine_sides=True, corrections=corrections)
                 out["m2"] = [fam.interval(k).lower for k in ks]
-            if "m2_individual" in methods:
-                ind = []
-                for k in ks:
-                    a = ci_single(data, transform, k, alpha / 2.0, gamma, mc=mc)
-                    b = ci_single(switch_labels_negate(data), transform, k,
-                                  alpha / 2.0, gamma, mc=mc)
-                    ind.append(max(a.interval.lower, b.interval.lower))
-                out["m2_individual"] = ind
             return out
 
         reps = _parallel(one_rep, range(cell.replications))

@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .model import (
-    DEFAULT_MC, NEG_INF, IntervalFamily, OneSidedInterval, QuantileHypothesis,
-    UNINFORMATIVE, pool_one_sided, rng_for, switch_labels_negate,
+    DEFAULT_MC, NEG_INF, DataError, IntervalFamily, OneSidedInterval,
+    QuantileHypothesis, UNINFORMATIVE, pool_one_sided, rng_for, switch_labels_negate,
 )
 from .engine import (
     EXACT_CAP_DEFAULT, ExactEnumerationError, NullDistribution, _mc_null,
@@ -57,11 +57,11 @@ class PValueResult:
 def _require_matched(data, pairs_only=False):
     for n_s, n_st in data.stratum_sizes():
         if n_s < 2:
-            raise ValueError("matched sets of size 1 carry no randomness")
+            raise DataError("matched sets of size 1 carry no randomness")
         if n_st != 1:
-            raise ValueError("sensitivity analysis requires exactly one treated unit per set")
+            raise DataError("sensitivity analysis requires exactly one treated unit per set")
         if pairs_only and n_s != 2:
-            raise ValueError("pairs mode requires every matched set to have size 2")
+            raise DataError("pairs mode requires every matched set to have size 2")
 
 
 def pvalue(data, transforms, k, c, dist=None, mc=DEFAULT_MC, scope="all", tie_shift=0):

@@ -205,12 +205,21 @@ def delta_h(k_primes, N, n, ks, mc=DEFAULT_MC):
         raise ValueError("need one k' per threshold")
     if any(v < 0 or v > n for v in k_primes):
         raise ValueError(f"k' values must lie in [0, {n}]")
-    J = len(ks)
-    if J == 1:
+    if len(ks) == 1:
         return hypergeom_sf(N, N - ks[0], n, n - k_primes[0])
-    colors = np.diff([0, *ks, N])
-    rng = rng_for(mc.seed, _TAG_DELTA_H, N, n)
-    return _union_tail_from_below(_mhg_running_totals(rng, colors, n, mc.draws), k_primes)
+    return _union_tail_from_below(_running_totals("finite", N, n, ks, mc), k_primes)
+
+
+def _running_totals(kind, N, n, targets, mc):
+    """Seeded Monte Carlo running totals for several targets: draws of n
+    units from N split at population indices (kind "finite", multivariate
+    hypergeometric) or i.i.d. draws split at population fractions (kind
+    "multinomial")."""
+    if kind == "finite":
+        rng = rng_for(mc.seed, _TAG_DELTA_H, N, n)
+        return _mhg_running_totals(rng, np.diff([0, *targets, N]), n, mc.draws)
+    rng = rng_for(mc.seed, _TAG_DELTA_M, n)
+    return _multinomial_running_totals(rng, n, np.diff([0.0, *targets, 1.0]), mc.draws)
 
 
 def _union_tail_estimate(counts, n, k_primes):
@@ -242,9 +251,7 @@ def delta_m(k_primes, n, betas, mc=DEFAULT_MC):
         raise ValueError(f"k' values must lie in [0, {n}]")
     if len(betas) == 1:
         return binom_sf(n, 1.0 - betas[0], n - k_primes[0])
-    probs = np.diff([0.0, *betas, 1.0])
-    rng = rng_for(mc.seed, _TAG_DELTA_M, n)
-    return _union_tail_from_below(_multinomial_running_totals(rng, n, probs, mc.draws),
+    return _union_tail_from_below(_running_totals("multinomial", None, n, betas, mc),
                                   k_primes)
 
 
@@ -324,7 +331,7 @@ def choose_kprime_multi(N, n, ks, alpha, gamma, mc=DEFAULT_MC, kind="finite", be
 
     if J == 1:
         kp = kprimes_for(1.0)
-        corr = _delta_exact_single(kp, N, n, targets, kind)
+        corr = delta_h(kp, N, n, targets) if kind == "finite" else delta_m(kp, n, targets)
         return CorrectionSpec(kp, corr, gamma, 1.0)
     if budget == 0.0:
         kp = kprimes_for(1.0)
@@ -332,14 +339,7 @@ def choose_kprime_multi(N, n, ks, alpha, gamma, mc=DEFAULT_MC, kind="finite", be
 
     # shared draws across the kappa search keep the estimate monotone; their
     # running totals are taken once for every kappa probed
-    if kind == "finite":
-        colors = np.diff([0, *targets, N])
-        rng = rng_for(mc.seed, _TAG_DELTA_H, N, n)
-        below = _mhg_running_totals(rng, colors, n, mc.draws)
-    else:
-        probs = np.diff([0.0, *targets, 1.0])
-        rng = rng_for(mc.seed, _TAG_DELTA_M, n)
-        below = _multinomial_running_totals(rng, n, probs, mc.draws)
+    below = _running_totals(kind, N, n, targets, mc)
 
     def corr_at(kappa):
         return _union_tail_from_below(below, kprimes_for(kappa))
@@ -360,9 +360,3 @@ def choose_kprime_multi(N, n, ks, alpha, gamma, mc=DEFAULT_MC, kind="finite", be
     kappa = float(grid[lo])
     kp = kprimes_for(kappa)
     return CorrectionSpec(kp, corr_at(kappa), gamma, kappa)
-
-
-def _delta_exact_single(k_primes, N, n, targets, kind):
-    if kind == "finite":
-        return hypergeom_sf(N, N - targets[0], n, n - k_primes[0])
-    return binom_sf(n, 1.0 - targets[0], n - k_primes[0])

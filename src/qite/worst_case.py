@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .model import NEG_INF
-from .engine import per_stratum_transforms, ranks, statistic
+from .engine import per_stratum_transforms, statistic
 
 
 def _largest_treated_first(z, y, c):
@@ -75,16 +75,33 @@ def _cost_table_direct(z_s, y_s, transform, c, tie_shift):
     ])
 
 
-def _sorted_treated_ranks(z_s, y_s, c, tie_shift):
-    """Ascending ranks of the treated units at threshold c, none evicted."""
-    z_s = np.asarray(z_s)
-    y_s = np.asarray(y_s, dtype=float)
-    r = ranks(np.where(z_s == 1, y_s - c, y_s), _shift_vector(z_s, tie_shift))
-    return np.sort(r[z_s == 1])
+def _treated_ranks(data, c, tie_shift):
+    """Within-stratum ranks of the treated units at threshold c, none
+    evicted: ascending within each stratum, strata in code order.
+
+    One sort of all units, by stratum, then imputed outcome (y - c for
+    treated units, y for controls), then shift; the sorts are stable, so
+    ties fall back to position as in ``engine.ranks``.
+    """
+    z = data.z
+    keys = [np.where(z == 1, data.y - c, data.y)]
+    if tie_shift != 0:
+        keys.insert(0, _shift_vector(z, tie_shift))
+    stratified = data.n_strata > 1
+    if stratified:
+        keys.append(data.strata)
+    order = np.argsort(keys[0], kind="stable") if len(keys) == 1 else np.lexsort(keys)
+    treated = np.flatnonzero(z[order] == 1)
+    R = treated + 1
+    if stratified:
+        counts = np.bincount(data.strata)
+        R -= (np.cumsum(counts) - counts)[data.strata[order[treated]]]
+    return R
 
 
-def _cost_table(z_s, y_s, transform, c, tie_shift):
-    """Within-stratum cost table f(m), m = 0..n_st, from one ranking.
+def _cost_table(R, phi):
+    """Within-stratum cost table f(m), m = 0..n_st, from the stratum's
+    ascending treated ranks R and its scores phi.
 
     With the treated units in ascending rank order at m = 0 (ranks R_p),
     evicting the top m of them moves them to ranks 1..m and every kept
@@ -97,9 +114,7 @@ def _cost_table(z_s, y_s, transform, c, tie_shift):
     the direct evaluation.  (Where every treated unit imputes to -inf, at
     c = +inf, they all share ranks 1..n_st whichever were evicted.)
     """
-    R = _sorted_treated_ranks(z_s, y_s, c, tie_shift)
     n_st = R.size
-    phi = transform.scores(len(y_s))
     f = np.empty(n_st + 1)
     cols = np.arange(n_st)
     rows = max(1, _COST_BLOCK // max(n_st, 1))
@@ -109,6 +124,39 @@ def _cost_table(z_s, y_s, transform, c, tie_shift):
         idx = np.where(kept < 0, cols, R[np.maximum(kept, 0)] + m - 1)
         f[a:a + m.shape[0]] = phi[idx].sum(axis=1)
     return f
+
+
+def _cost_tables(data, R, transforms):
+    """Every stratum's cost table, from its slice of ``_treated_ranks``."""
+    tables = []
+    a = 0
+    for (n_s, n_st), transform in zip(data.stratum_sizes(), transforms):
+        tables.append(_cost_table(R[a:a + n_st], transform.scores(n_s)))
+        a += n_st
+    return tables
+
+
+def _allocation_dp(tables, n_t):
+    """Min-plus DP over per-stratum cost tables.
+
+    Stage s holds, for each u, the minimum of f_1(m_1) + ... + f_s(m_s)
+    over m_1 + ... + m_s <= u (capped at n_t slots); returns every stage.
+    No convexity of f_s is assumed.
+    """
+    stages = []
+    dp = np.zeros(1)
+    for f in tables:
+        n_st = f.size - 1
+        prev = dp
+        width = min(prev.size - 1 + n_st, n_t)
+        dp = np.full(width + 1, np.inf)
+        for m in range(n_st + 1):
+            hi = min(prev.size, dp.size - m)
+            if hi > 0:
+                np.minimum(dp[m:m + hi], prev[:hi] + f[m], out=dp[m:m + hi])
+        np.minimum.accumulate(dp, out=dp)
+        stages.append(dp)
+    return stages
 
 
 class _OneStratumProfile:
@@ -136,58 +184,33 @@ def min_stat_scre_profile(data, transforms, c, tie_shift=0):
     up to u unbounded-effect slots may be allocated across strata
     (u = 0..n_t).
 
-    One stratum (including a completely randomized design) gets a lazy
-    profile read off its cost table.  Otherwise a DP over per-stratum cost
-    tables f_s(m), exact within-stratum statistics, fills the profile; no
-    convexity of f_s is assumed.  f_s is nonincreasing in m, so the minimum
-    at capacity u is attained using all u slots and the profile itself is
-    nonincreasing.
+    Every design is ranked once, by ``_treated_ranks``.  One stratum
+    (including a completely randomized design) gets a lazy profile read
+    off its cost table; one treated unit per stratum gets a closed form;
+    otherwise the last stage of ``_allocation_dp`` over the per-stratum
+    cost tables, exact within-stratum statistics, is the profile.  f_s is
+    nonincreasing in m, so the minimum at capacity u is attained using all
+    u slots and the profile itself is nonincreasing.
     """
     transforms = per_stratum_transforms(data, transforms)
+    R = _treated_ranks(data, c, tie_shift)
     if data.n_strata == 1:
-        R = _sorted_treated_ranks(data.z, data.y, c, tie_shift)
         return _OneStratumProfile(R, transforms[0].scores(data.n))
-    sizes = data.stratum_sizes()
-    if all(nst == 1 for _, nst in sizes):
-        return _profile_one_treated(data, transforms, c, tie_shift)
-    n_t = data.n_t
-    dp = np.zeros(1)
-    for idx, transform in zip(data.stratum_members(), transforms):
-        f = _cost_table(data.z[idx], data.y[idx], transform, c, tie_shift)
-        n_st = f.size - 1
-        prev = dp
-        width = min(prev.size - 1 + n_st, n_t)
-        dp = np.full(width + 1, np.inf)
-        for m in range(n_st + 1):
-            hi = min(prev.size, dp.size - m)
-            if hi > 0:
-                np.minimum(dp[m:m + hi], prev[:hi] + f[m], out=dp[m:m + hi])
-        np.minimum.accumulate(dp, out=dp)
-    return dp
+    if all(n_st == 1 for _, n_st in data.stratum_sizes()):
+        return _profile_one_treated(data, R, transforms)
+    return _allocation_dp(_cost_tables(data, R, transforms), data.n_t)[-1]
 
 
-def _profile_one_treated(data, transforms, c, tie_shift):
-    """Closed-form profile for one treated unit per stratum.
+def _profile_one_treated(data, R, transforms):
+    """Closed-form profile for one treated unit per stratum, whose rank in
+    stratum s is R[s].
 
     Evicting stratum s moves its treated unit to within-stratum rank 1, so
     the allocation problem reduces to keeping the u largest savings
-    f_s(0) - phi_s(1).  Within-stratum ranks come from one global sort,
-    and the scores of each distinct transform are looked up once: phi(r)
-    does not depend on the stratum size.
+    f_s(0) - phi_s(1).  The scores of each distinct transform are looked
+    up once: phi(r) does not depend on the stratum size.
     """
-    z, y, strata = data.z, data.y, data.strata
-    n = data.n
-    imputed = np.where(z == 1, y - c, y)
-    shift = np.zeros(n) if tie_shift == 0 else np.where(z == 1, tie_shift, 0)
-    order = np.lexsort((np.arange(n), shift, imputed, strata))
-    counts = np.bincount(strata, minlength=data.n_strata)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(n) - np.repeat(starts, counts)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = within + 1
-    treated = np.flatnonzero(z == 1)
-    treated_rank = np.empty(len(counts), dtype=np.int64)
-    treated_rank[strata[treated]] = rank[treated]
+    counts = np.bincount(data.strata)
     groups = {}
     for s, tr in enumerate(transforms):
         groups.setdefault(id(tr), (tr, []))[1].append(s)
@@ -196,7 +219,7 @@ def _profile_one_treated(data, transforms, c, tie_shift):
     for tr, members in groups.values():
         members = np.asarray(members)
         phi = tr.scores(counts[members].max())
-        f0[members] = phi[treated_rank[members] - 1]
+        f0[members] = phi[R[members] - 1]
         f1[members] = phi[0]
     savings = np.sort(f0 - f1)[::-1]
     profile = np.empty(data.n_t + 1)
@@ -219,29 +242,28 @@ min_stat_cre = min_stat_scre
 
 
 def best_allocation(data, transforms, k, c, tie_shift=0):
-    """Optimal per-stratum slot counts (m_1..m_S) and the achieved minimum."""
+    """Optimal per-stratum slot counts (m_1..m_S) and the achieved minimum,
+    traced back through the stages of ``_allocation_dp``."""
+    n = data.n
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in [0, {n}]")
     transforms = per_stratum_transforms(data, transforms)
-    capacity = min(data.n - k, data.n_t)
-    tables = [
-        _cost_table(data.z[idx], data.y[idx], transform, c, tie_shift)
-        for idx, transform in zip(data.stratum_members(), transforms)
-    ]
-    # small-scale exact DP with backtracking
-    S = len(tables)
-    best = {0: (0.0, ())}
-    for s in range(S):
-        nxt = {}
-        for used, (val, path) in best.items():
-            for m, fm in enumerate(tables[s]):
-                u = used + m
-                if u > capacity:
-                    break
-                cand = (val + fm, path + (m,))
-                if u not in nxt or cand[0] < nxt[u][0]:
-                    nxt[u] = cand
-        best = nxt
-    val, path = min(best.values(), key=lambda t: t[0])
-    return float(val), path
+    tables = _cost_tables(data, _treated_ranks(data, c, tie_shift), transforms)
+    stages = _allocation_dp(tables, data.n_t)
+    u = min(n - k, data.n_t)
+    value = stages[-1][u]
+    path = []
+    # stage s at u is prev[min(u - m, top)] + f_s(m) for some m, summed in
+    # the same order; the first m that reproduces it is an optimal choice
+    for s in range(len(tables) - 1, -1, -1):
+        prev = stages[s - 1] if s else np.zeros(1)
+        f = tables[s]
+        target = stages[s][u]
+        m = next(m for m in range(min(u, f.size - 1) + 1)
+                 if prev[min(u - m, prev.size - 1)] + f[m] == target)
+        path.append(m)
+        u = min(u - m, prev.size - 1)
+    return float(value), tuple(reversed(path))
 
 
 def brute_force_min(data, transforms, scope, k, c, tie_shift=0, max_configs=300_000):

@@ -188,6 +188,28 @@ class TestSensitivityCmd:
         assert code == 0
 
 
+    @pytest.mark.parametrize("mode, text, message", [
+        # a one-unit set cannot reach the matched-set check: the loader
+        # rejects a stratum without a control first
+        ("pairs", "z,y,stratum\n1,2.0,a\n0,1.0,a\n1,3.0,b\n",
+         "lacks a treated or a control unit"),
+        ("gaussian", "z,y,stratum\n1,2.0,a\n1,3.0,a\n0,1.0,a\n1,4.0,b\n0,2.0,b\n",
+         "exactly one treated unit per set"),
+        ("pairs", "z,y,stratum\n1,2.0,a\n0,3.0,a\n0,1.0,a\n1,4.0,b\n0,2.0,b\n0,5.0,b\n",
+         "every matched set to have size 2"),
+    ], ids=["one-unit-set", "two-treated-in-a-set", "triples-in-pairs-mode"])
+    def test_data_shape_is_input_error(self, tmp_path, capsys, mode, text, message):
+        p = tmp_path / "sets.csv"
+        p.write_text(text)
+        code, prefix = run_cli(
+            ["sensitivity", "--data", str(p), "--gamma-grid", "1.0", "--mode", mode,
+             "--mc-draws", "2000"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+        assert not os.path.exists(prefix + ".json")
+
+
 class TestPopulationCmd:
     def test_finite(self, toy_csv, tmp_path):
         code, prefix = run_cli(
@@ -233,6 +255,37 @@ class TestSimulateCmd:
         assert 0.0 <= out["coverage"] <= 1.0
 
 
+    def test_coverage_uses_quantiles(self, tmp_path, monkeypatch):
+        import qite.cli
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("quantiles"))
+            return coverage_audit(*args, **kwargs)
+
+        coverage_audit = qite.cli.coverage_audit
+        monkeypatch.setattr(qite.cli, "coverage_audit", spy)
+        code, _ = run_cli(
+            ["simulate", "--study", "coverage", "--procedure", "superpopulation",
+             "--replications", "2", "--n", "16", "--seed", "10", "--mc-draws", "2000",
+             "--quantiles", "0.25,0.5"], tmp_path)
+        assert code == 0
+        assert seen == [(0.25, 0.5)]
+
+    @pytest.mark.parametrize("study, rho2, message", [
+        ("gamma", "0.1,0.5", "takes one --rho2 value"),
+        ("coverage", "0.1,0.5", "takes one --rho2 value"),
+        ("method-comparison", ",", "needs at least one value"),
+    ])
+    def test_rho2_count_is_flag_error(self, tmp_path, capsys, study, rho2, message):
+        code, prefix = run_cli(
+            ["simulate", "--study", study, "--rho2", rho2, "--replications", "2",
+             "--n", "16", "--mc-draws", "2000"], tmp_path)
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".json")
+
+
 class TestManifestAndReplay:
     def test_replay_bit_identical(self, toy_csv, tmp_path):
         args = ["quantile-ci", "--data", toy_csv, "--method", "m1",
@@ -273,7 +326,12 @@ class TestManifestAndReplay:
 
 
 def test_console_entry_point():
+    # the child imports the qite these tests import, installed or not
+    import qite
+    src = os.path.dirname(os.path.dirname(qite.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "qite.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "qite" in proc.stdout

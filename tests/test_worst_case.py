@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qite import ExperimentData, RankTransform, min_stat_cre, min_stat_scre
+from qite import ExperimentData, RankTransform, min_stat_cre, min_stat_scre, ranks
 from qite.cre import jump_grid, stratified_jump_grid
 from qite.worst_case import (
-    _cost_table, _cost_table_direct, best_allocation, brute_force_min,
+    _cost_table, _cost_table_direct, _treated_ranks, best_allocation, brute_force_min,
     enumerate_allocations_min, min_stat_scre_profile,
 )
 
@@ -136,14 +136,20 @@ class TestMinStatScre:
 
     def test_best_allocation_feasible_and_optimal(self):
         rng = np.random.default_rng(12)
-        for _ in range(25):
-            d = random_scre(rng, n_strata=2, size_max=3)
+        for i in range(40):
+            d = random_scre(rng, n_strata=2 + i % 3, size_max=4)
             k = int(rng.integers(0, d.n + 1))
-            val, alloc = best_allocation(d, W, k, 0.0)
+            c = float(rng.choice([-1.0, 0.0, 1.5]))
+            val, alloc = best_allocation(d, W, k, c)
             sizes = d.stratum_sizes()
+            assert len(alloc) == len(sizes)
             assert sum(alloc) <= min(d.n - k, d.n_t)
             assert all(0 <= m <= nst for m, (_, nst) in zip(alloc, sizes))
-            assert val == min_stat_scre(d, W, k, 0.0)
+            tables = [_cost_table_direct(d.z[idx], d.y[idx], W, c, 0)
+                      for idx in d.stratum_members()]
+            assert sum(f[m] for f, m in zip(tables, alloc)) == val
+            assert val == min_stat_scre(d, W, k, c)
+            assert val == enumerate_allocations_min(d, W, k, c)
 
 
 class TestMonotonicity:
@@ -248,7 +254,8 @@ class TestProfileProperties:
                                        ["a", "a", "a", "b", "b", "b"])
         z_a, y_a = d.z[:3], d.y[:3]
         assert y_a[0] - (-BIG) == y_a[2] - (-BIG) == y_a[1]
-        assert _cost_table(z_a, y_a, W, -BIG, 0).tolist() == [4.0, 3.0, 3.0]
+        R_a = _treated_ranks(ExperimentData(z_a, y_a), -BIG, 0)
+        assert _cost_table(R_a, W.scores(3)).tolist() == [4.0, 3.0, 3.0]
         for k in range(d.n + 1):
             for side in (-1, 0, 1):
                 _assert_profile_matches_oracles(d, W, -BIG, side, k)
@@ -269,9 +276,45 @@ class TestProfileProperties:
         tr = RankTransform.from_table(np.cumsum(rng.random(n_s) ** 3))
         c = {"grid": float(rng.choice(y) - rng.choice(y)), "inf": float("inf"),
              "-inf": float("-inf"), "large": 1e17}[c_kind]
-        fast = _cost_table(z, y, tr, c, side)
+        fast = _cost_table(_treated_ranks(ExperimentData(z, y), c, side), tr.scores(n_s))
         direct = _cost_table_direct(z, y, tr, c, side)
         assert fast.tobytes() == direct.tobytes()
+
+
+@st.composite
+def ranked_designs(draw):
+    """Design without strata or with up to three strata whose units are
+    interleaved, tied integer outcomes, and one threshold and side."""
+    S = draw(st.integers(0, 3))
+    z, y, strata = [], [], []
+    for s in range(max(S, 1)):
+        ns = draw(st.integers(2, 5))
+        nst = draw(st.integers(1, ns - 1))
+        z += draw(st.permutations([1] * nst + [0] * (ns - nst)))
+        y += draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=ns, max_size=ns))
+        strata += [s] * ns
+    order = draw(st.permutations(range(len(z))))
+    d = ExperimentData.from_arrays([z[i] for i in order], np.array([y[i] for i in order]),
+                                   [strata[i] for i in order] if S else None)
+    grid = stratified_jump_grid(d)
+    c = draw(st.sampled_from([*grid.tolist(), float("inf"), float("-inf")]))
+    side = draw(st.sampled_from([-1, 0, 1]))
+    return d, c, side
+
+
+class TestTreatedRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(case=ranked_designs())
+    def test_equals_sorted_within_stratum_ranks(self, case):
+        d, c, side = case
+        imputed = np.where(d.z == 1, d.y - c, d.y)
+        shift = np.where(d.z == 1, side, 0)
+        want = []
+        for idx in d.stratum_members():
+            r = ranks(imputed[idx], shift[idx] if side else None)
+            want.append(np.sort(r[d.z[idx] == 1]))
+        got = _treated_ranks(d, c, side)
+        assert got.tolist() == np.concatenate(want).tolist()
 
 
 @st.composite
