@@ -5,7 +5,8 @@ population-ci, simulate.  Every run writes the result artifacts plus a
 manifest recording the input digest, all resolved flags, seeds and draw
 counts, so identical invocations reproduce outputs bit-exactly.
 
-Exit codes: 0 ok, 2 input error, 3 flag error, 4 internal invariant failure.
+Exit codes: 0 ok, 2 input error, 3 flag error, 4 internal invariant failure,
+5 resource limit (out of memory, or an exact null past its cap).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .model import (
     load_experiment,
 )
 from .cre import band, corrected_pvalue, simultaneous_cis
+from .engine import ExactEnumerationError
 from .population import PopulationTarget, population_cis
 from .stratified import (
     combine_treated_control, intervals_from_treated_only, pvalue, sensitivity_curve,
@@ -341,6 +343,9 @@ def main(argv=None):
     except AssertionError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 4
+    except (MemoryError, ExactEnumerationError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

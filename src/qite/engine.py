@@ -10,8 +10,11 @@ otherwise); Monte Carlo nulls sum the scores of seeded random subsets.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -245,38 +248,104 @@ def _enumerated_subset_sums(phi, n, n_t):
     return _merge_atoms(vals, np.ones(total))
 
 
-# uniforms per Monte Carlo block: 2 MB, about a typical per-core cache
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# threads that draw one Monte Carlo null together
+_WORKERS = _cpu_count()
+
+# uniforms held at once by all the runs of one Monte Carlo null (2 MB):
+# with w runs, each draws blocks of _MC_BLOCK // w, so memory does not grow
+# with the CPU count
 _MC_BLOCK = 2 ** 18
+
+
+def _uniform_rows(rng, draws, width, reduce, scratch=()):
+    """One value per row of ``rng.random((draws, width))``: reduce(block,
+    *buffers) of consecutive row blocks, concatenated.
+
+    The rows are split into one contiguous run per worker, and each run
+    reuses one block of uniforms plus one buffer of the block's shape per
+    dtype in ``scratch``, all allocated here before any thread starts.
+    Run 0 reads the stream itself in the caller's thread; run i reads a
+    copy advanced past the rows before it (``random`` takes one 64-bit
+    output per double), so every row holds the same uniforms for any
+    worker count.  The worker threads are joined before returning.
+    """
+    out = np.empty(draws)
+    # more than one block: every run gets at least one of its own
+    workers = min(_WORKERS, draws) if draws * width > _MC_BLOCK else 1
+    rows = max(1, _MC_BLOCK // (workers * width))
+    cuts = [draws * i // workers for i in range(workers + 1)]
+    runs = []
+    for i in range(workers):
+        gen = rng
+        if i:
+            gen = copy.deepcopy(rng)
+            gen.bit_generator.advance(cuts[i] * width)
+        shape = (min(rows, cuts[i + 1] - cuts[i]), width)
+        buffers = [np.empty(shape)] + [np.empty(shape, dtype) for dtype in scratch]
+        runs.append((gen, out[cuts[i]:cuts[i + 1]], buffers))
+    if workers == 1:
+        _run_blocks(reduce, *runs[0])
+        return out
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(_run_blocks, reduce, *run) for run in runs[1:]]
+        _run_blocks(reduce, *runs[0])
+        for future in futures:
+            future.result()
+    return out
+
+
+def _run_blocks(reduce, gen, out, buffers):
+    """Fill ``out`` block by block from ``gen`` into the reused buffers."""
+    rows = buffers[0].shape[0]
+    for pos in range(0, out.size, rows):
+        m = min(rows, out.size - pos)
+        block = [b[:m] for b in buffers]
+        gen.random(out=block[0])
+        out[pos:pos + m] = reduce(*block)
 
 
 def _mc_subset_sums(phi, n, n_t, mc, tag, stream):
     """Monte Carlo draws of sum(phi[S]) over random n_t-subsets.
 
     Draw r takes the n_t smallest of row r of ``rng.random((draws, n))``;
-    rows come in blocks, which leaves the stream and the draws unchanged.
+    ``_uniform_rows`` reads the rows in blocks on every CPU the process may
+    use, which changes neither the stream nor the draws.
     """
     rng = rng_for(mc.seed, tag, stream)
-    out = np.zeros(mc.draws, dtype=float)
     if n_t == 0:
-        return out
-    exact = _exact_float_sums(phi)
-    rows = max(1, _MC_BLOCK // max(n, 1))
-    for pos in range(0, mc.draws, rows):
-        u = rng.random((min(rows, mc.draws - pos), n))
-        sums = _threshold_sums(u, phi, n_t) if exact else None
-        out[pos:pos + u.shape[0]] = _sorted_sums(u, phi, n_t) if sums is None else sums
-    return out
+        return np.zeros(mc.draws, dtype=float)
+    if not _exact_float_sums(phi):
+        return _uniform_rows(rng, mc.draws, n, lambda u: _sorted_sums(u, phi, n_t))
+    weights = np.stack([phi, np.ones_like(phi)], axis=1)
+
+    def sums(u, part, mask):
+        s = _threshold_sums(u, weights, n_t, part, mask)
+        return _sorted_sums(u, phi, n_t) if s is None else s
+
+    return _uniform_rows(rng, mc.draws, n, sums, (float, float))
 
 
-def _threshold_sums(u, phi, n_t):
+def _threshold_sums(u, weights, n_t, part, mask):
     """Select each row's n_t smallest uniforms by the value of the n_t-th.
 
-    The masked sum is exact only when phi has exact float sums; returns
-    None when some row ties at the threshold, so that more than n_t
-    entries pass it.
+    ``weights`` stacks the scores and ones as columns, so one product gives
+    each row's masked sum and its count; ``part`` and ``mask`` are scratch
+    of u's shape.  The sum is exact only when the scores have exact float
+    sums; returns None when some row ties at the threshold, so that more
+    than n_t entries pass it.
     """
-    kth = np.partition(u, n_t - 1, axis=1)[:, n_t - 1:n_t]
-    sums, counts = ((u <= kth) @ np.stack([phi, np.ones_like(phi)], axis=1)).T
+    np.copyto(part, u)
+    part.partition(n_t - 1, axis=1)
+    np.less_equal(u, part[:, n_t - 1:n_t], out=mask)
+    sums, counts = (mask @ weights).T
     return sums if np.all(counts == n_t) else None
 
 

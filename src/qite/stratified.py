@@ -35,7 +35,7 @@ from .model import (
     QuantileHypothesis, UNINFORMATIVE, pool_one_sided, rng_for, switch_labels_negate,
 )
 from .engine import (
-    EXACT_CAP_DEFAULT, ExactEnumerationError, NullDistribution, _mc_null,
+    EXACT_CAP_DEFAULT, ExactEnumerationError, NullDistribution, _mc_null, _uniform_rows,
     convolve_discrete, discrete_null, null_for, per_stratum_transforms, survival,
 )
 from .worst_case import min_stat_scre, min_stat_scre_profile
@@ -257,8 +257,15 @@ def worst_case_tail(data, transforms, gamma_bound, mode="pairs", mc=DEFAULT_MC,
             rng = rng_for(mc.seed, _TAG_SENS, data.n_strata)
             low = np.array([tr.scores(2)[0] for tr in transforms])
             high = np.array([tr.scores(2)[1] for tr in transforms])
-            take_high = rng.random((mc.draws, len(transforms))) < p_hi
-            draws = np.where(take_high, high[None, :], low[None, :]).sum(axis=1)
+
+            def totals(u, take_high, scores):
+                # each pair's high score with probability p_hi, summed per row
+                np.less(u, p_hi, out=take_high)
+                np.copyto(scores, low)
+                np.copyto(scores, high, where=take_high)
+                return scores.sum(axis=1)
+
+            draws = _uniform_rows(rng, mc.draws, len(transforms), totals, (bool, float))
             return _mc_null(draws, ("mc", mc.draws, mc.seed, "worst-case", gamma),
                             design)
 
@@ -338,11 +345,13 @@ def sensitivity_curve(data, transforms, alpha, gammas, mode="pairs", mc=DEFAULT_
         sensitivity_intervals(data, transforms, alpha, g, mode, mc, profiles)
         for g in gammas
     )
+    # each family's intervals by target index, read once
+    by_k = [dict(fam.entries) for fam in families]
     thresholds = []
     for k in range(1, data.n_t + 1):
         best = None
-        for g, fam in zip(gammas, families):
-            if fam.interval(k).excludes_zero():
+        for g, intervals in zip(gammas, by_k):
+            if intervals[k].excludes_zero():
                 best = g
         thresholds.append((k, best))
     return SensitivityCurve(gammas, families, tuple(thresholds))

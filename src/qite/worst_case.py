@@ -196,7 +196,7 @@ def min_stat_scre_profile(data, transforms, c, tie_shift=0):
     R = _treated_ranks(data, c, tie_shift)
     if data.n_strata == 1:
         return _OneStratumProfile(R, transforms[0].scores(data.n))
-    if all(n_st == 1 for _, n_st in data.stratum_sizes()):
+    if data.n_t == data.n_strata:   # each stratum holds at least one treated unit
         return _profile_one_treated(data, R, transforms)
     return _allocation_dp(_cost_tables(data, R, transforms), data.n_t)[-1]
 
@@ -210,17 +210,24 @@ def _profile_one_treated(data, R, transforms):
     f_s(0) - phi_s(1).  The scores of each distinct transform are looked
     up once: phi(r) does not depend on the stratum size.
     """
-    counts = np.bincount(data.strata)
-    groups = {}
-    for s, tr in enumerate(transforms):
-        groups.setdefault(id(tr), (tr, []))[1].append(s)
-    f0 = np.empty(len(counts))
-    f1 = np.empty(len(counts))
-    for tr, members in groups.values():
-        members = np.asarray(members)
-        phi = tr.scores(counts[members].max())
-        f0[members] = phi[R[members] - 1]
-        f1[members] = phi[0]
+    sizes = data.stratum_sizes()
+    if transforms.count(transforms[0]) == len(transforms):
+        # one transform for every stratum, the common case: no grouping;
+        # the scores for the largest stratum serve every stratum
+        phi = transforms[0].scores(max(sizes)[0])
+        f0, f1 = phi[R - 1], phi[0]
+    else:
+        counts = np.array([n_s for n_s, _ in sizes])
+        groups = {}
+        for s, tr in enumerate(transforms):
+            groups.setdefault(id(tr), (tr, []))[1].append(s)
+        f0 = np.empty(len(sizes))
+        f1 = np.empty(len(sizes))
+        for tr, members in groups.values():
+            members = np.asarray(members)
+            phi = tr.scores(counts[members].max())
+            f0[members] = phi[R[members] - 1]
+            f1[members] = phi[0]
     savings = np.sort(f0 - f1)[::-1]
     profile = np.empty(data.n_t + 1)
     profile[0] = f0.sum()

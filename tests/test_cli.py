@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+import qite.cli
 from qite.cli import main
+from qite.engine import ExactEnumerationError
 
 TOY = "z,y\n1,5.0\n1,4.0\n0,1.0\n0,2.0\n1,3.5\n0,0.5\n1,2.5\n0,3.0\n"
 TOY_STRATA = (
@@ -283,6 +285,25 @@ class TestSimulateCmd:
              "--n", "16", "--mc-draws", "2000"], tmp_path)
         assert code == 3
         assert message in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".json")
+
+
+class TestResourceLimits:
+    @pytest.mark.parametrize("error", [
+        MemoryError(),
+        MemoryError("Unable to allocate 7.45 GiB for an array"),
+        ExactEnumerationError("C(40,20) = 137846528820 assignments exceed the exact cap"),
+    ])
+    def test_resource_errors_exit_5(self, toy_csv, tmp_path, monkeypatch, capsys, error):
+        def exhausted(args):
+            raise error
+
+        monkeypatch.setitem(qite.cli._COMMANDS, "test", exhausted)
+        code, prefix = run_cli(["test", "--data", toy_csv, "--k", "8", "--c", "0"], tmp_path)
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        assert (str(error) or "out of memory") in err
         assert not os.path.exists(prefix + ".json")
 
 

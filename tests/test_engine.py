@@ -1,5 +1,7 @@
 import itertools
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -249,6 +251,31 @@ def _argpartition_sampler(phi, n, n_t, mc, tag, stream):
     return out
 
 
+def _threshold_sums(u, phi, n_t):
+    weights = np.stack([phi, np.ones_like(phi)], axis=1)
+    return engine._threshold_sums(u, weights, n_t, np.empty_like(u), np.empty_like(u))
+
+
+class _Uniforms:
+    """A stand-in generator serving the rows of u in order; copies and
+    advances like a PCG64 stream of doubles."""
+
+    def __init__(self, u):
+        self.flat = u.ravel()
+        self.pos = 0
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def advance(self, steps):
+        self.pos += steps
+
+    def random(self, out):
+        out.reshape(-1)[:] = self.flat[self.pos:self.pos + out.size]
+        self.pos += out.size
+
+
 INTEGER_TRANSFORMS = [W] + [RankTransform.stephenson(s) for s in range(2, 7)] + [
     RankTransform.from_table([0, 0, 0, 1, 1, 2, 3, 3, 3, 5, 8, 8, 13, 21]),
     RankTransform.from_table([-4, -4, -1, 0, 0, 0, 2, 2, 7, 7, 7, 9, 30, 30]),
@@ -333,13 +360,13 @@ class TestThresholdSampler:
         u = np.random.default_rng(5).random((6, n))
         order = np.argsort(u[2])
         u[2, order[n_t]] = u[2, order[n_t - 1]]   # the n_t-th and next smallest tie
-        assert engine._threshold_sums(u, phi, n_t) is None
-        assert engine._threshold_sums(np.delete(u, 2, axis=0), phi, n_t) is not None
+        assert _threshold_sums(u, phi, n_t) is None
+        assert _threshold_sums(np.delete(u, 2, axis=0), phi, n_t) is not None
 
         class Crafted:   # a generator whose one block is u
-            def random(self, shape):
-                assert shape == u.shape
-                return u
+            def random(self, out):
+                assert out.shape == u.shape
+                out[...] = u
 
         monkeypatch.setattr(engine, "rng_for", lambda *tags: Crafted())
         got = engine._mc_subset_sums(phi, n, n_t, MonteCarloConfig(6, 1), 0, 0)
@@ -359,6 +386,91 @@ class TestThresholdSampler:
         got = engine._mc_subset_sums(phi, n, n_t, mc, engine._TAG_CRE_NULL, 0)
         want = _argpartition_sampler(phi, n, n_t, mc, engine._TAG_CRE_NULL, 0)
         assert _bitwise_equal(got, want)
+
+
+class TestParallelSampler:
+    """The draws split into one run per worker, each from an advanced copy
+    of the stream; the null must not depend on the worker count."""
+
+    @staticmethod
+    def _count_runs(monkeypatch):
+        runs = []
+        run_blocks = engine._run_blocks
+        monkeypatch.setattr(engine, "_run_blocks",
+                            lambda *a: runs.append(threading.current_thread()) or run_blocks(*a))
+        return runs
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    @pytest.mark.parametrize("tag", [engine._TAG_CRE_NULL, engine._TAG_SCRE_NULL])
+    @pytest.mark.parametrize("n,n_t,draws", [
+        (40, 17, 20_000),
+        (40, 1, 7_000),
+        (40, 39, 7_000),
+        (1000, 500, 700),
+    ])
+    @pytest.mark.parametrize("transform", [W, RankTransform.stephenson(4)],
+                             ids=lambda t: t.label())
+    def test_equals_argpartition_sampler_for_any_worker_count(
+            self, monkeypatch, workers, tag, n, n_t, draws, transform):
+        monkeypatch.setattr(engine, "_WORKERS", workers)
+        # every run ends inside a block: the cuts fall mid-block
+        rows = engine._MC_BLOCK // (workers * n)
+        assert draws * n > engine._MC_BLOCK and (draws // workers) % rows != 0
+        fallbacks = []
+        sorted_sums = engine._sorted_sums
+        monkeypatch.setattr(engine, "_sorted_sums",
+                            lambda *a: fallbacks.append(1) or sorted_sums(*a))
+        runs = self._count_runs(monkeypatch)
+        mc = MonteCarloConfig(draws, 31)
+        phi = transform.scores(n)
+        got = engine._mc_subset_sums(phi, n, n_t, mc, tag, 0)
+        assert _bitwise_equal(got, _argpartition_sampler(phi, n, n_t, mc, tag, 0))
+        assert len(runs) == workers
+        assert not fallbacks
+
+    def test_more_workers_than_cores_with_fast_thread_switching(self, monkeypatch):
+        # the runs write disjoint slices of one output: a lost or misplaced
+        # block would change the bits
+        monkeypatch.setattr(engine, "_WORKERS", 7)
+        runs = self._count_runs(monkeypatch)
+        phi = RankTransform.stephenson(3).scores(233)
+        mc = MonteCarloConfig(4_001, 13)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = engine._mc_subset_sums(phi, 233, 164, mc, engine._TAG_CRE_NULL, 0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs) == 7
+        want = _argpartition_sampler(phi, 233, 164, mc, engine._TAG_CRE_NULL, 0)
+        assert _bitwise_equal(got, want)
+
+    def test_tied_row_in_a_later_run_takes_fallback(self, monkeypatch):
+        n, n_t, draws = 40, 17, 7_000
+        phi = W.scores(n)
+        u = np.random.default_rng(6).random((draws, n))
+        row = 6_000   # in the last of three runs, which starts at row 4,666
+        order = np.argsort(u[row])
+        u[row, order[n_t]] = u[row, order[n_t - 1]]
+        fallbacks = []
+        sorted_sums = engine._sorted_sums
+        monkeypatch.setattr(engine, "_sorted_sums",
+                            lambda *a: fallbacks.append(a[0].shape) or sorted_sums(*a))
+        monkeypatch.setattr(engine, "rng_for", lambda *tags: _Uniforms(u))
+        monkeypatch.setattr(engine, "_WORKERS", 3)
+        got = engine._mc_subset_sums(phi, n, n_t, MonteCarloConfig(draws, 1), 0, 0)
+        assert fallbacks == [(engine._MC_BLOCK // (3 * n), n)]
+        assert _bitwise_equal(got, sorted_sums(u, phi, n_t))
+
+    def test_no_thread_outlives_the_null(self, monkeypatch):
+        monkeypatch.setattr(engine, "_WORKERS", 3)
+        runs = self._count_runs(monkeypatch)
+        engine._null_cached.cache_clear()
+        before = threading.active_count()
+        null_distribution(("cre", 233, 164), W, mode="mc", mc=MonteCarloConfig(3_001, 8))
+        assert threading.active_count() == before
+        # run 0 in the caller's thread, the others in pool threads
+        assert len(runs) == 3 and runs.count(threading.current_thread()) == 1
 
 
 class TestOneNullPerDesign:

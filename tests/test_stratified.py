@@ -9,8 +9,8 @@ from qite import (
     null_for, prediction_intervals_treated, pvalue_all, pvalue_scre,
     pvalue_sensitivity, sensitivity_curve, stratified_statistic, worst_case_tail,
 )
-from qite.model import NEG_INF
-from qite import stratified
+from qite.model import NEG_INF, rng_for
+from qite import engine, stratified
 from qite.stratified import sensitivity_intervals
 
 from conftest import random_cre, random_scre
@@ -228,6 +228,38 @@ class TestWorstCaseTail:
             worst_case_tail(pairs_data(), W, 0.5, mode="pairs")
 
 
+def _one_shot_pairs_draws(data, transforms, gamma, mc):
+    """The pairs Monte Carlo fallback as one (draws, S) array: the
+    reference for the block runner."""
+    rng = rng_for(mc.seed, stratified._TAG_SENS, data.n_strata)
+    p_hi = gamma / (1.0 + gamma)
+    low = np.array([tr.scores(2)[0] for tr in transforms])
+    high = np.array([tr.scores(2)[1] for tr in transforms])
+    take_high = rng.random((mc.draws, len(transforms))) < p_hi
+    return np.where(take_high, high[None, :], low[None, :]).sum(axis=1)
+
+
+class TestWorstCaseTailMonteCarlo:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_blocks_equal_one_shot_draws(self, monkeypatch, workers):
+        # 300 pairs with real-valued score tables: the convolution passes the
+        # cap, and the row sums are order-sensitive floats
+        monkeypatch.setattr(engine, "_WORKERS", workers)
+        S = 300
+        d = pairs_data(30, S=S)
+        rng = np.random.default_rng(31)
+        transforms = tuple(RankTransform.from_table(sorted(rng.uniform(0.0, 3.0, 2)))
+                           for _ in range(S))
+        mc = MonteCarloConfig(3_001, 5)
+        assert mc.draws * S > engine._MC_BLOCK   # several blocks and runs
+        nd = worst_case_tail(d, transforms, 2.2, mode="pairs", mc=mc)
+        assert nd.provenance == ("mc", 3_001, 5, "worst-case", 2.2)
+        want = engine._mc_null(_one_shot_pairs_draws(d, transforms, 2.2, mc),
+                               nd.provenance, nd.design)
+        assert np.array_equal(nd.support, want.support)
+        assert np.array_equal(nd.tail, want.tail)
+
+
 class TestPvalueSensitivity:
     def test_gamma_one_equals_scre(self):
         d = pairs_data(12, S=5)
@@ -302,6 +334,22 @@ class TestSensitivityCurve:
         for g in gammas:
             sensitivity_intervals(d, W, 0.2, g, mode="pairs")
         assert len(calls) > len(set(calls))
+
+    def test_zero_exclusion_reads_each_family_by_index(self):
+        rng = np.random.default_rng(22)
+        S = 20
+        z = np.tile([1, 0], S)
+        y = np.round(rng.normal(0.0, 0.5, 2 * S) + (z == 1) * 2.0, 1)
+        d = ExperimentData.from_arrays(z, y, np.repeat(np.arange(S), 2))
+        curve = sensitivity_curve(d, W, 0.2, [1.0, 1.3, 2.2, 4.0], mode="pairs")
+        want = []
+        for k in range(1, d.n_t + 1):
+            passed = [g for g, fam in zip(curve.gammas, curve.families)
+                      if fam.interval(k).excludes_zero()]
+            want.append((k, passed[-1] if passed else None))
+        assert curve.zero_exclusion == tuple(want)
+        # several Gammas exclude zero at some k: the largest one is reported
+        assert any(g not in (None, 1.0) for _, g in want)
 
     @pytest.mark.parametrize("mode, size", [("pairs", 2), ("gaussian", 3)])
     def test_families_equal_separate_calls(self, mode, size):

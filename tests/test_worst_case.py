@@ -134,6 +134,25 @@ class TestMinStatScre:
                         want = enumerate_allocations_min(d, W, k, c, shift)
                         assert fast[min(d.n - k, d.n_t)] == want
 
+    def test_one_treated_profile_shared_and_mixed_transforms(self):
+        # one transform for every stratum (as one object or as equal copies)
+        # indexes one score table; distinct transforms are grouped
+        rng = np.random.default_rng(13)
+        S3 = RankTransform.stephenson(3)
+        for _ in range(30):
+            d = random_scre(rng, n_strata=4, size_max=4, one_treated=True)
+            copies = tuple(RankTransform.stephenson(3) for _ in range(d.n_strata))
+            mixed = tuple(W if s % 2 else S3 for s in range(d.n_strata))
+            for c in (-1.0, 0.0, 2.0):
+                for shift in (-1, 0, 1):
+                    shared = min_stat_scre_profile(d, S3, c, shift)
+                    assert np.array_equal(shared, min_stat_scre_profile(d, copies, c, shift))
+                    grouped = min_stat_scre_profile(d, mixed, c, shift)
+                    for k in range(d.n + 1):
+                        u = min(d.n - k, d.n_t)
+                        assert shared[u] == enumerate_allocations_min(d, S3, k, c, shift)
+                        assert grouped[u] == enumerate_allocations_min(d, mixed, k, c, shift)
+
     def test_best_allocation_feasible_and_optimal(self):
         rng = np.random.default_rng(12)
         for i in range(40):
