@@ -150,7 +150,7 @@ def simultaneous_cis(data, transform, ks, alpha, gamma=DEFAULT_GAMMA, mc=DEFAULT
     n, n_t = data.n, data.n_t
     spec = corrections
     if spec is None:
-        spec = choose_kprime_multi(n, n_t, ks, alpha, gamma, mc, kind="finite")
+        spec = choose_kprime_multi(n, n_t, ks, alpha, gamma)
     alpha_eff = alpha - spec.correction
     if alpha_eff <= 0.0:
         entries = tuple((k, UNINFORMATIVE) for k in ks)

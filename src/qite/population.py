@@ -68,12 +68,18 @@ def population_cis(data, transforms, target, alpha, mc=DEFAULT_MC, split_gamma=0
 
     units "all" uses the whole experimental sample (size n); "treated"
     uses the treated group alone, which is itself a simple random sample
-    from the population under complete randomization.
+    from the population under complete randomization, so it (like
+    "control") rejects stratified data.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if not 0.0 < split_gamma < 1.0:
         raise ValueError("split_gamma must be in (0, 1)")
+    if units in ("treated", "control") and data.n_strata > 1:
+        raise ValueError(
+            f"units={units!r} needs complete randomization, so that the group is a "
+            f"simple random sample of the population; these data have "
+            f"{data.n_strata} strata")
     if units == "control":
         # the control group is also a simple random sample; analyze it as
         # the treated group of the label-switched experiment
@@ -90,10 +96,10 @@ def population_cis(data, transforms, target, alpha, mc=DEFAULT_MC, split_gamma=0
         ks = [math.ceil(N * b) for b in betas]
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("quantile levels collide at this population size")
-        spec = choose_kprime_multi(N, m, ks, alpha, split_gamma, mc, kind="finite")
+        spec = choose_kprime_multi(N, m, ks, alpha, split_gamma)
         label = f"population-quantiles(N={N})"
     else:
-        spec = choose_kprime_multi(0, m, None, alpha, split_gamma, mc,
+        spec = choose_kprime_multi(0, m, None, alpha, split_gamma,
                                    kind="multinomial", betas=betas)
         label = "population-quantiles(superpopulation)"
 

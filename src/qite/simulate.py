@@ -41,6 +41,8 @@ class DgpSpec:
             raise ValueError("rho2 must be in (0, 1)")
         if not 0.0 < self.treat_fraction < 1.0:
             raise ValueError("treat_fraction must be in (0, 1)")
+        if self.replications < 1:
+            raise ValueError("replications must be at least 1")
 
 
 def generate(spec, replicate=0):
@@ -67,11 +69,11 @@ def _quantile_ks(n, quantiles):
     return [math.ceil(q * n) for q in quantiles]
 
 
-def _m2_corrections(n, n_t, ks, alpha, gamma, mc):
+def _m2_corrections(n, n_t, ks, alpha, gamma):
     """Per-orientation joint count thresholds; design-only, so computed once
     per study cell and shared across replications."""
-    spec_t = choose_kprime_multi(n, n_t, ks, alpha / 2.0, gamma, mc, kind="finite")
-    spec_c = choose_kprime_multi(n, n - n_t, ks, alpha / 2.0, gamma, mc, kind="finite")
+    spec_t = choose_kprime_multi(n, n_t, ks, alpha / 2.0, gamma)
+    spec_c = choose_kprime_multi(n, n - n_t, ks, alpha / 2.0, gamma)
     return spec_t, spec_c
 
 
@@ -96,7 +98,7 @@ def method_comparison(spec, rho2s=None, quantiles=(0.5, 0.6, 0.7, 0.8, 0.9),
         sample = generate(cell, 0)[0]
         corrections = None
         if "m2" in methods:
-            corrections = _m2_corrections(sample.n, sample.n_t, ks, alpha, gamma, mc)
+            corrections = _m2_corrections(sample.n, sample.n_t, ks, alpha, gamma)
 
         def one_rep(r):
             data, _ = generate(cell, r)
@@ -138,7 +140,7 @@ def gamma_study(spec, gammas=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
     sample = generate(spec, 0)[0]
     rows = []
     for gamma in gammas:
-        corrections = _m2_corrections(sample.n, sample.n_t, ks, alpha, gamma, mc)
+        corrections = _m2_corrections(sample.n, sample.n_t, ks, alpha, gamma)
 
         def one_rep(r):
             data, _ = generate(spec, r)

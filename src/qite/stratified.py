@@ -313,6 +313,8 @@ def sensitivity_intervals(data, transforms, alpha, gamma_bound, mode="pairs",
     ``profiles`` is an optional ``_ProfileCache`` for the same data and
     transforms, shared by calls that differ only in Gamma.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     _require_matched(data, pairs_only=(mode == "pairs"))
     dist = worst_case_tail(data, transforms, gamma_bound, mode, mc)
     if profiles is None:

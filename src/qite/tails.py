@@ -1,10 +1,14 @@
 """Hypergeometric and multinomial tail machinery for count corrections.
 
 The correction terms bound the probability that more than an allowed number
-of the largest effects land in the sampled (treated) group.  All
-combinatorial quantities are computed in log-gamma space so population
-sizes in the tens of thousands do not overflow; probabilities are
-exponentiated last.
+of the largest effects land in the sampled (treated) group.  Every
+correction is exact.  One target has a closed-form hypergeometric or
+binomial tail.  Several targets follow the running total of draws below
+each target, a Markov chain on 0..n: one transition per target, then the
+states below its k' are dropped, in O(J n^2) for J targets.  All
+combinatorial quantities are computed in log space so population sizes in
+the tens of thousands do not overflow; probabilities are exponentiated
+last.
 """
 
 from __future__ import annotations
@@ -15,12 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .model import DEFAULT_MC, rng_for
+from .model import DEFAULT_MC
 
-_TAG_DELTA_H = 21
-_TAG_DELTA_M = 22
-
-_DRAW_BLOCK = 16_384   # multinomial rows drawn per call
+_STEP_BLOCK = 1 << 16   # transition entries built per block
 
 
 def _log_comb(a, b):
@@ -48,25 +49,6 @@ def hypergeom_pmf_vector(N, K, n):
     return x, p / p.sum()
 
 
-def hypergeom_pmf(N, K, n, x):
-    lo, hi = hypergeom_support(N, K, n)
-    xs, p = hypergeom_pmf_vector(N, K, n)
-    x = int(x)
-    if x < lo or x > hi:
-        return 0.0
-    return float(p[x - lo])
-
-
-def hypergeom_cdf(N, K, n, x):
-    lo, _ = hypergeom_support(N, K, n)
-    xs, p = hypergeom_pmf_vector(N, K, n)
-    x = int(math.floor(x)) if not isinstance(x, (int, np.integer)) else int(x)
-    if x < lo:
-        return 0.0
-    i = min(x - lo, p.size - 1)
-    return float(np.cumsum(p)[i])
-
-
 def hypergeom_sf(N, K, n, x):
     """P(X > x), computed by summing the upper tail directly."""
     lo, hi = hypergeom_support(N, K, n)
@@ -80,21 +62,18 @@ def hypergeom_sf(N, K, n, x):
 
 
 def hypergeom_quantile(N, K, n, q):
-    """min{x : CDF(x) >= q}."""
-    if not 0.0 <= q <= 1.0:
+    """min{x : CDF(x) >= q}, elementwise over an array of levels q."""
+    q = np.asarray(q, dtype=float)
+    if not np.all((q >= 0.0) & (q <= 1.0)):
         raise ValueError("quantile level must be in [0, 1]")
     lo, hi = hypergeom_support(N, K, n)
-    if q >= 1.0:
-        return hi   # the true CDF stays below 1 until the top of the support
-    xs, p = hypergeom_pmf_vector(N, K, n)
-    cdf = np.cumsum(p)
-    i = int(np.searchsorted(cdf, q, side="left"))
-    return int(lo + min(i, p.size - 1))
-
-
-def hypergeom_sample(rng, N, K, n, size=None):
-    _check_hg(N, K, n)
-    return rng.hypergeometric(K, N - K, n, size=size)
+    # the true CDF stays below 1 until the top of the support
+    out = np.full(q.shape, hi)
+    if not np.all(q >= 1.0):
+        _, p = hypergeom_pmf_vector(N, K, n)
+        i = np.searchsorted(np.cumsum(p), q, side="left")
+        out = np.where(q >= 1.0, out, lo + np.minimum(i, p.size - 1))
+    return int(out) if out.ndim == 0 else out
 
 
 def binom_pmf_vector(n, p):
@@ -124,61 +103,14 @@ def binom_sf(n, p, x):
 
 
 def binom_quantile(n, p, q):
-    """min{x : CDF(x) >= q}."""
-    if q >= 1.0:
-        return n if p > 0.0 else 0
-    _, pmf = binom_pmf_vector(n, p)
-    cdf = np.cumsum(pmf)
-    i = int(np.searchsorted(cdf, q, side="left"))
-    return int(min(i, n))
-
-
-def mhg_sample(rng, colors, ndraw, size):
-    """Multivariate hypergeometric samples by sequential conditional draws.
-
-    colors: balls per color; returns a (size, len(colors)) count matrix.
-    Each column is drawn from the exact conditional hypergeometric given
-    the preceding columns, so no rejection is involved.
-    """
-    below = _mhg_running_totals(rng, colors, ndraw, size)
-    return np.diff(below, axis=1, prepend=0, append=ndraw)
-
-
-def _mhg_running_totals(rng, colors, ndraw, size):
-    """The draws of ``mhg_sample`` as running totals: column j counts the
-    balls of colors 0..j, for j < len(colors) - 1.
-
-    Held in the smallest integer type that fits ndraw, which keeps 1e5
-    draws of a few colors within a few megabytes.
-    """
-    colors = np.asarray(colors, dtype=np.int64)
-    total = int(colors.sum())
-    if not 0 <= ndraw <= total:
-        raise ValueError("sample size exceeds ball count")
-    below = np.empty((size, colors.size - 1), dtype=np.min_scalar_type(ndraw))
-    remaining_draws = np.full(size, ndraw, dtype=np.int64)
-    remaining_balls = total
-    for j in range(colors.size - 1):
-        remaining_balls -= int(colors[j])
-        remaining_draws -= rng.hypergeometric(int(colors[j]), remaining_balls,
-                                              remaining_draws)
-        below[:, j] = ndraw - remaining_draws
-    return below
-
-
-def _multinomial_running_totals(rng, n, probs, size):
-    """Running totals (as in ``_mhg_running_totals``) of ``size`` draws of
-    ``rng.multinomial(n, probs)``.
-
-    Rows are drawn a block at a time, which consumes the generator exactly
-    as one call for all rows does, so only one block of int64 counts is
-    held at once.
-    """
-    below = np.empty((size, len(probs) - 1), dtype=np.min_scalar_type(n))
-    for a in range(0, size, _DRAW_BLOCK):
-        counts = rng.multinomial(n, probs, size=min(_DRAW_BLOCK, size - a))
-        below[a:a + _DRAW_BLOCK] = np.cumsum(counts[:, :-1], axis=1)
-    return below
+    """min{x : CDF(x) >= q}, elementwise over an array of levels q."""
+    q = np.asarray(q, dtype=float)
+    out = np.full(q.shape, n if p > 0.0 else 0)
+    if not np.all(q >= 1.0):
+        _, pmf = binom_pmf_vector(n, p)
+        i = np.searchsorted(np.cumsum(pmf), q, side="left")
+        out = np.where(q >= 1.0, out, np.minimum(i, n))
+    return int(out) if out.ndim == 0 else out
 
 
 def _validate_ordered(ks, upper, what):
@@ -192,78 +124,119 @@ def _validate_ordered(ks, upper, what):
     return ks
 
 
+def _validate_betas(betas):
+    betas = [float(b) for b in betas]
+    if not betas:
+        raise ValueError("betas list is empty")
+    if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
+        raise ValueError("betas must be strictly increasing")
+    if not (0.0 <= betas[0] and betas[-1] <= 1.0):
+        raise ValueError("betas must lie in [0, 1]")
+    return betas
+
+
+def _validate_kprimes(k_primes, J, n):
+    k_primes = [int(v) for v in k_primes]
+    if len(k_primes) != J:
+        raise ValueError("need one k' per target")
+    if any(v < 0 or v > n for v in k_primes):
+        raise ValueError(f"k' values must lie in [0, {n}]")
+    return k_primes
+
+
+def _log_weights(kind, size, n):
+    """Log weight of x = 0..n draws from one group of colors: log C(size, x)
+    for kind "finite" (size balls), log(size^x / x!) for kind "multinomial"
+    (probability size).  -inf where x draws are impossible."""
+    top = min(int(size), n) if kind == "finite" else (n if size > 0.0 else 0)
+    i = np.arange(1, top + 1)
+    ratios = (size - i + 1) / i if kind == "finite" else size / i
+    out = np.full(n + 1, -np.inf)
+    out[0] = 0.0
+    out[1:top + 1] = np.cumsum(np.log(ratios))
+    return out
+
+
+def _step(mass, log_a, log_b):
+    """One transition of the running total: from t draws of the colors so
+    far to t' = t + x, with log weight log_a[x] + log_b[n - t'], normalized
+    over t'.  ``mass`` is (n+1, P), one column per k' tuple; the matrix is
+    built a block of rows at a time, and rows with no mass are skipped."""
+    n = mass.shape[0] - 1
+    gap = np.concatenate([np.full(n, -np.inf), log_a])   # gap[n + x] = log_a[x]
+    later = log_b[::-1]                                   # later[t'] = log_b[n - t']
+    out = np.zeros_like(mass)
+    live = np.flatnonzero(mass.any(axis=1))
+    if not live.size:
+        return out
+    rows = max(1, _STEP_BLOCK // (n + 1))
+    for a in range(live[0], live[-1] + 1, rows):
+        b = min(a + rows, live[-1] + 1)
+        if not mass[a:b].any():
+            continue
+        logw = gap[np.arange(a, n + 1) - np.arange(a, b)[:, None] + n] + later[a:]
+        top = logw.max(axis=1, keepdims=True)
+        top[top == -np.inf] = 0.0    # a row no draw reaches; it holds no mass
+        w = np.exp(logw - top)
+        total = w.sum(axis=1, keepdims=True)
+        total[total == 0.0] = 1.0
+        out[a:] += (w / total).T @ mass[a:b]
+    return out
+
+
+def _union_tails(kind, N, n, targets, kprime_rows):
+    """Exact P(the running total below target j is under k'_j for some j),
+    one value per row of ``kprime_rows``.
+
+    kind "finite": n draws without replacement from N units, targets are
+    population indices.  kind "multinomial": n i.i.d. draws, targets are
+    population fractions.  Given t draws below target j-1, the draws of the
+    colors between targets j-1 and j are hypergeometric (binomial), so the
+    running total is a Markov chain; the mass dropped below each k'_j is
+    the probability that the union first happens at target j.
+    """
+    kprime_rows = np.asarray(kprime_rows, dtype=np.int64)
+    mass = np.zeros((n + 1, kprime_rows.shape[0]))
+    mass[0] = 1.0
+    spent = np.zeros(kprime_rows.shape[0])
+    states = np.arange(n + 1)[:, None]
+    edges = [0, *targets, N] if kind == "finite" else [0.0, *targets, 1.0]
+    for j in range(len(targets)):
+        mass = _step(mass, _log_weights(kind, edges[j + 1] - edges[j], n),
+                     _log_weights(kind, edges[-1] - edges[j + 1], n))
+        below = states < kprime_rows[:, j]
+        spent += np.where(below, mass, 0.0).sum(axis=0)
+        mass[below] = 0.0
+    return np.minimum(spent, 1.0)
+
+
 def delta_h(k_primes, N, n, ks, mc=DEFAULT_MC):
     """Probability that, sampling n of N units without replacement, more
     than n - k'_j of the top N - k_j units are sampled, for some j.
 
-    Exact for a single threshold; Monte Carlo over the multivariate
-    hypergeometric color counts for several.
+    Exact: the hypergeometric tail for a single threshold, the running-total
+    recursion for several.  ``mc`` is accepted and ignored.
     """
     ks = _validate_ordered(ks, N, "threshold indices")
-    k_primes = [int(v) for v in k_primes]
-    if len(k_primes) != len(ks):
-        raise ValueError("need one k' per threshold")
-    if any(v < 0 or v > n for v in k_primes):
-        raise ValueError(f"k' values must lie in [0, {n}]")
+    k_primes = _validate_kprimes(k_primes, len(ks), n)
     if len(ks) == 1:
         return hypergeom_sf(N, N - ks[0], n, n - k_primes[0])
-    return _union_tail_from_below(_running_totals("finite", N, n, ks, mc), k_primes)
-
-
-def _running_totals(kind, N, n, targets, mc):
-    """Seeded Monte Carlo running totals for several targets: draws of n
-    units from N split at population indices (kind "finite", multivariate
-    hypergeometric) or i.i.d. draws split at population fractions (kind
-    "multinomial")."""
-    if kind == "finite":
-        rng = rng_for(mc.seed, _TAG_DELTA_H, N, n)
-        return _mhg_running_totals(rng, np.diff([0, *targets, N]), n, mc.draws)
-    rng = rng_for(mc.seed, _TAG_DELTA_M, n)
-    return _multinomial_running_totals(rng, n, np.diff([0.0, *targets, 1.0]), mc.draws)
-
-
-def _union_tail_estimate(counts, n, k_primes):
-    return _union_tail_from_below(np.cumsum(counts[:, :-1], axis=1), k_primes)
-
-
-def _union_tail_from_below(below, k_primes):
-    # below[:, j] counts the draws of colors 0..j.  event_j: more than
-    # n - k'_j draws of the colors above j, i.e. below[:, j] < k'_j
-    hit = np.zeros(below.shape[0], dtype=bool)
-    for j, kp in enumerate(k_primes):
-        hit |= below[:, j] < kp
-    return float(hit.mean())
+    return float(_union_tails("finite", N, n, ks, [k_primes])[0])
 
 
 def delta_m(k_primes, n, betas, mc=DEFAULT_MC):
     """Multinomial analogue of delta_h for i.i.d. sampling: probability
     that more than n - k'_j draws exceed the beta_j-th population quantile
-    for some j.  Exact binomial tail for a single beta."""
-    betas = [float(b) for b in betas]
-    if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("betas must be strictly increasing")
-    if betas[0] < 0.0 or betas[-1] > 1.0:
-        raise ValueError("betas must lie in [0, 1]")
-    k_primes = [int(v) for v in k_primes]
-    if len(k_primes) != len(betas):
-        raise ValueError("need one k' per beta")
-    if any(v < 0 or v > n for v in k_primes):
-        raise ValueError(f"k' values must lie in [0, {n}]")
+    for some j.
+
+    Exact: the binomial tail for a single beta, the running-total recursion
+    for several.  ``mc`` is accepted and ignored.
+    """
+    betas = _validate_betas(betas)
+    k_primes = _validate_kprimes(k_primes, len(betas), n)
     if len(betas) == 1:
         return binom_sf(n, 1.0 - betas[0], n - k_primes[0])
-    return _union_tail_from_below(_running_totals("multinomial", None, n, betas, mc),
-                                  k_primes)
-
-
-def delta_gap_profile(N_sequence, n, betas, k_primes, mc=DEFAULT_MC):
-    """|delta_h - delta_m| along a growing population size, with thresholds
-    k_j = ceil(N beta_j).  Used as a convergence check, not user-facing."""
-    dm = delta_m(k_primes, n, betas, mc)
-    gaps = []
-    for N in N_sequence:
-        ks = [math.ceil(N * b) for b in betas]
-        gaps.append(abs(delta_h(k_primes, N, n, ks, mc) - dm))
-    return gaps
+    return float(_union_tails("multinomial", None, n, betas, [k_primes])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +273,13 @@ def choose_kprime_single(n, n_t, k, alpha, gamma):
 def choose_kprime_multi(N, n, ks, alpha, gamma, mc=DEFAULT_MC, kind="finite", betas=None):
     """Joint threshold choice for several targets.
 
-    Scales the per-target budget by a common factor kappa in [1/J, 1] and
-    keeps the largest kappa (on a 1e-3 grid) whose joint correction stays
-    within gamma*alpha.  The correction is piecewise constant in kappa
-    through the integer quantiles, and on shared Monte Carlo draws it is
-    monotone in kappa, so a grid bisection finds the exact switch point.
+    Scales the per-target budget by a common factor kappa in [1/J, 1]: at
+    kappa each k'_j is the single-target threshold for budget
+    kappa*gamma*alpha.  Keeps the largest kappa on a 1e-3 grid whose exact
+    joint correction stays within gamma*alpha; if none does, keeps the
+    smallest (the Bonferroni floor).  Every distinct k' tuple on the grid is
+    evaluated in one pass of the running-total recursion.  ``mc`` is
+    accepted and ignored.
 
     kind "finite" uses hypergeometric thresholds against population
     indices ks; kind "multinomial" uses binomial thresholds against
@@ -317,7 +292,7 @@ def choose_kprime_multi(N, n, ks, alpha, gamma, mc=DEFAULT_MC, kind="finite", be
     if kind == "finite":
         targets = _validate_ordered(ks, N, "threshold indices")
     elif kind == "multinomial":
-        targets = [float(b) for b in betas]
+        targets = _validate_betas(betas)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     J = len(targets)
@@ -326,37 +301,21 @@ def choose_kprime_multi(N, n, ks, alpha, gamma, mc=DEFAULT_MC, kind="finite", be
     def kprimes_for(kappa):
         level = 1.0 - kappa * budget
         if kind == "finite":
-            return tuple(n - hypergeom_quantile(N, N - k, n, level) for k in targets)
-        return tuple(n - binom_quantile(n, 1.0 - b, level) for b in targets)
+            return [n - hypergeom_quantile(N, N - k, n, level) for k in targets]
+        return [n - binom_quantile(n, 1.0 - b, level) for b in targets]
 
     if J == 1:
-        kp = kprimes_for(1.0)
+        kp = tuple(kprimes_for(1.0))
         corr = delta_h(kp, N, n, targets) if kind == "finite" else delta_m(kp, n, targets)
         return CorrectionSpec(kp, corr, gamma, 1.0)
     if budget == 0.0:
-        kp = kprimes_for(1.0)
-        return CorrectionSpec(kp, 0.0, gamma, 1.0)
-
-    # shared draws across the kappa search keep the estimate monotone; their
-    # running totals are taken once for every kappa probed
-    below = _running_totals(kind, N, n, targets, mc)
-
-    def corr_at(kappa):
-        return _union_tail_from_below(below, kprimes_for(kappa))
+        return CorrectionSpec(tuple(kprimes_for(1.0)), 0.0, gamma, 1.0)
 
     grid = np.arange(math.ceil(1000.0 / J), 1001) / 1000.0
-    lo, hi = 0, grid.size - 1
-    if corr_at(grid[hi]) <= budget:
-        lo = hi
-    elif corr_at(grid[lo]) > budget:
-        hi = lo   # even the Bonferroni floor estimate exceeds the budget; keep it
-    else:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if corr_at(grid[mid]) <= budget:
-                lo = mid
-            else:
-                hi = mid
-    kappa = float(grid[lo])
-    kp = kprimes_for(kappa)
-    return CorrectionSpec(kp, corr_at(kappa), gamma, kappa)
+    table = np.column_stack(kprimes_for(grid))
+    tuples, which = np.unique(table, axis=0, return_inverse=True)
+    corr = _union_tails(kind, N, n, targets, tuples)[which.ravel()]
+    fits = np.flatnonzero(corr <= budget)
+    i = int(fits[-1]) if fits.size else 0   # the Bonferroni floor if none fits
+    return CorrectionSpec(tuple(int(v) for v in table[i]), float(corr[i]), gamma,
+                          float(grid[i]))

@@ -189,6 +189,16 @@ class TestSensitivityCmd:
              "--mc-draws", "2000"], tmp_path)
         assert code == 0
 
+    @pytest.mark.parametrize("alpha", ["0", "1.5"])
+    def test_alpha_outside_unit_interval_is_flag_error(self, tmp_path, capsys, alpha):
+        p = tmp_path / "pairs.csv"
+        p.write_text(TOY_PAIRS)
+        code, prefix = run_cli(
+            ["sensitivity", "--data", str(p), "--gamma-grid", "1.0", "--alpha", alpha,
+             "--mc-draws", "2000"], tmp_path)
+        assert code == 3
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".json")
 
     @pytest.mark.parametrize("mode, text, message", [
         # a one-unit set cannot reach the matched-set check: the loader
@@ -235,6 +245,17 @@ class TestPopulationCmd:
              "--betas", "0.5"], tmp_path)
         assert code == 3
 
+    @pytest.mark.parametrize("units", ["treated", "control"])
+    def test_group_units_on_strata_is_flag_error(self, tmp_path, capsys, units):
+        p = tmp_path / "strat.csv"
+        p.write_text(TOY_STRATA)
+        code, prefix = run_cli(
+            ["population-ci", "--data", str(p), "--population-size", "40",
+             "--betas", "0.5", "--units", units, "--mc-draws", "2000"], tmp_path)
+        assert code == 3
+        assert "3 strata" in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".json")
+
 
 class TestSimulateCmd:
     def test_method_comparison_csv(self, tmp_path):
@@ -273,6 +294,16 @@ class TestSimulateCmd:
              "--quantiles", "0.25,0.5"], tmp_path)
         assert code == 0
         assert seen == [(0.25, 0.5)]
+
+    @pytest.mark.parametrize("study", ["method-comparison", "coverage"])
+    def test_zero_replications_is_flag_error(self, tmp_path, capsys, study):
+        code, prefix = run_cli(
+            ["simulate", "--study", study, "--replications", "0", "--n", "16",
+             "--mc-draws", "2000"], tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "replications must be at least 1" in err and len(err.splitlines()) == 1
+        assert not os.path.exists(prefix + ".json")
 
     @pytest.mark.parametrize("study, rho2, message", [
         ("gamma", "0.1,0.5", "takes one --rho2 value"),

@@ -100,6 +100,19 @@ class TestFinitePopulation:
             fam = population_cis(d, W, t, 0.2, MC, units=units)
             assert len(fam.entries) == 1
 
+    @pytest.mark.parametrize("units", ["treated", "control"])
+    def test_group_units_reject_strata(self, units):
+        # 4 strata of 10 with 1, 9, 2 and 8 treated: neither group is a
+        # simple random sample of the population
+        rng = np.random.default_rng(8)
+        z = np.concatenate([np.arange(10) < t for t in (1, 9, 2, 8)]).astype(int)
+        d = ExperimentData.from_arrays(z, np.round(rng.normal(0, 1, 40), 2),
+                                       np.repeat(np.arange(4), 10))
+        with pytest.raises(ValueError, match="4 strata"):
+            population_cis(d, W, PopulationTarget.finite(100, [0.7]), 0.2, MC, units=units)
+        fam = population_cis(d, W, PopulationTarget.finite(100, [0.7]), 0.2, MC)
+        assert len(fam.entries) == 1
+
     def test_budget_exhaustion_warns(self):
         d = medium_experiment(6)
         fam = population_cis(d, W, PopulationTarget.finite(10_000, [0.5]), 0.01, MC)

@@ -94,6 +94,10 @@ class TestCoverage:
         assert res.coverage >= 0.8 - 3 * res.se
         assert res.replications == 60
 
+    def test_zero_replications_rejected(self):
+        with pytest.raises(ValueError, match="replications"):
+            DgpSpec(n=10, replications=0)
+
     def test_unknown_procedure(self):
         with pytest.raises(ValueError):
             coverage_audit("nope", DgpSpec(n=10, replications=2))

@@ -315,6 +315,11 @@ class TestSensitivityCurve:
             if g is not None:
                 assert curve.family(g).interval(k).excludes_zero()
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            sensitivity_curve(pairs_data(), W, alpha, [1.0, 2.0], mc=MC)
+
     def test_profiles_shared_across_gamma_grid(self, monkeypatch):
         calls = []
         original = stratified.min_stat_scre_profile

@@ -1,29 +1,58 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from qite import MonteCarloConfig, choose_kprime_multi, choose_kprime_single, delta_h, delta_m
-from qite.model import rng_for
 from qite.tails import (
-    binom_quantile, binom_sf, delta_gap_profile, hypergeom_cdf, hypergeom_pmf,
-    hypergeom_pmf_vector, hypergeom_quantile, hypergeom_sample, hypergeom_sf,
-    mhg_sample,
+    binom_quantile, binom_sf, hypergeom_pmf_vector, hypergeom_quantile, hypergeom_sf,
 )
 
 MC = MonteCarloConfig(50_000, 1234)
 
 
+def hypergeom_running_totals(N, n, ks):
+    """Law of (draws below k_j)_j over every one of the C(N, n) samples."""
+    law = {}
+    for combo in itertools.combinations(range(N), n):
+        below = tuple(sum(i < k for i in combo) for k in ks)
+        law[below] = law.get(below, 0) + 1 / math.comb(N, n)
+    return law
+
+
+def multinomial_running_totals(n, betas):
+    """Law of (draws below beta_j)_j over every sequence of n i.i.d. draws
+    of the colors cut at betas."""
+    probs = np.diff([0.0, *betas, 1.0])
+    law = {}
+    for seq in itertools.product(range(probs.size), repeat=n):
+        below = tuple(sum(c <= j for c in seq) for j in range(len(betas)))
+        law[below] = law.get(below, 0.0) + math.prod(probs[c] for c in seq)
+    return law
+
+
+def union_probability(law, k_primes):
+    return math.fsum(p for below, p in law.items()
+                     if any(b < kp for b, kp in zip(below, k_primes)))
+
+
+def grid_kprimes(N, n, ks, budget, kappa):
+    return [n - hypergeom_quantile(N, N - k, n, 1 - kappa * budget) for k in ks]
+
+
 class TestHypergeom:
     def test_pmf_hand_values(self):
-        assert hypergeom_pmf(4, 2, 2, 0) == pytest.approx(1 / 6)
-        assert hypergeom_pmf(4, 2, 2, 1) == pytest.approx(2 / 3)
-        assert hypergeom_pmf(4, 2, 2, 2) == pytest.approx(1 / 6)
+        x, p = hypergeom_pmf_vector(4, 2, 2)
+        assert list(x) == [0, 1, 2]
+        assert p == pytest.approx([1 / 6, 2 / 3, 1 / 6])
 
     def test_no_successes(self):
-        assert hypergeom_pmf(10, 0, 4, 0) == 1.0
+        x, p = hypergeom_pmf_vector(10, 0, 4)
+        assert list(x) == [0] and list(p) == [1.0]
+        assert hypergeom_sf(10, 0, 4, 0) == 0.0
 
     def test_quantile_hand_value(self):
         # CDF(1) = 5/6 < 0.95, so the 0.95 quantile is 2
@@ -41,24 +70,23 @@ class TestHypergeom:
             K = int(rng.integers(0, N + 1))
             n = int(rng.integers(0, N + 1))
             ref = stats.hypergeom(N, K, n)
-            xs = np.arange(-1, min(K, n) + 2)
-            for x in xs:
-                assert hypergeom_pmf(N, K, n, x) == pytest.approx(ref.pmf(x), abs=1e-12)
-                assert hypergeom_cdf(N, K, n, x) == pytest.approx(ref.cdf(x), abs=1e-11)
+            x, p = hypergeom_pmf_vector(N, K, n)
+            assert p == pytest.approx(ref.pmf(x), abs=1e-12)
+            for x in range(-1, min(K, n) + 2):
                 assert hypergeom_sf(N, K, n, x) == pytest.approx(ref.sf(x), abs=1e-11)
-            for q in (0.05, 0.5, 0.95, 1.0):
+            qs = (0.05, 0.5, 0.95, 1.0)
+            for q in qs:
                 assert hypergeom_quantile(N, K, n, q) == int(ref.ppf(q))
+            assert list(hypergeom_quantile(N, K, n, np.array(qs))) == [
+                hypergeom_quantile(N, K, n, q) for q in qs]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            hypergeom_pmf(4, 5, 2, 0)
+            hypergeom_pmf_vector(4, 5, 2)
         with pytest.raises(ValueError):
-            hypergeom_pmf(4, 2, 5, 0)
-
-    def test_sampling_mean(self):
-        rng = rng_for(5, 1)
-        draws = hypergeom_sample(rng, 50, 20, 10, size=20_000)
-        assert abs(draws.mean() - 10 * 20 / 50) < 0.05
+            hypergeom_pmf_vector(4, 2, 5)
+        with pytest.raises(ValueError):
+            hypergeom_quantile(4, 2, 2, np.array([0.5, 1.5]))
 
 
 class TestBinom:
@@ -67,42 +95,15 @@ class TestBinom:
             ref = stats.binom(n, p)
             for x in range(-1, n + 1):
                 assert binom_sf(n, p, x) == pytest.approx(ref.sf(x), abs=1e-11)
-            for q in (0.1, 0.5, 0.99):
+            qs = (0.1, 0.5, 0.99, 1.0)
+            for q in qs:
                 assert binom_quantile(n, p, q) == int(ref.ppf(q))
+            assert list(binom_quantile(n, p, np.array(qs))) == [
+                binom_quantile(n, p, q) for q in qs]
 
     def test_degenerate_p(self):
         assert binom_sf(5, 0.0, 0) == 0.0
         assert binom_quantile(5, 1.0, 0.5) == 5
-
-
-class TestMhgSample:
-    def test_counts_and_margins(self):
-        rng = rng_for(6, 2)
-        colors = (3, 5, 2)
-        out = mhg_sample(rng, colors, 4, 30_000)
-        assert out.shape == (30_000, 3)
-        assert np.all(out.sum(axis=1) == 4)
-        assert np.all(out <= np.array(colors))
-        # marginal of column 0 is HG(10, 3, 4) with mean 1.2
-        assert abs(out[:, 0].mean() - 1.2) < 0.02
-
-    def test_exhaustive_agreement_tiny(self):
-        # compare the union-event probability with exhaustive enumeration
-        colors = (2, 3, 3)
-        ndraw = 4
-        total = sum(colors)
-        outcomes = {}
-        for combo in itertools.combinations(range(total), ndraw):
-            cell = [0, 0, 0]
-            for i in combo:
-                cell[0 if i < 2 else (1 if i < 5 else 2)] += 1
-            outcomes[tuple(cell)] = outcomes.get(tuple(cell), 0) + 1
-        norm = sum(outcomes.values())
-        rng = rng_for(7, 3)
-        sample = mhg_sample(rng, colors, ndraw, 200_000)
-        for cell, cnt in outcomes.items():
-            emp = np.mean(np.all(sample == np.array(cell), axis=1))
-            assert abs(emp - cnt / norm) < 0.01
 
 
 class TestDeltaH:
@@ -112,31 +113,24 @@ class TestDeltaH:
     def test_kprime_zero_is_impossible_event(self):
         assert delta_h([0], 10, 4, [5]) == 0.0
 
-    def test_exact_vs_mc_single(self):
-        exact = delta_h([7], 30, 12, [14])
-        colors = (14, 16)
-        rng = rng_for(MC.seed, 21, 30, 12)
-        counts = mhg_sample(rng, colors, 12, MC.draws)
-        mc_est = float(np.mean(counts[:, 0] < 7))
-        se = math.sqrt(exact * (1 - exact) / MC.draws)
-        assert abs(exact - mc_est) <= 3 * se + 1e-9
+    def test_single_threshold_is_hypergeom_sf_bitwise(self):
+        for N, n, k in [(30, 12, 14), (233, 164, 117), (5000, 20, 4500)]:
+            for kp in range(n + 1):
+                assert delta_h([kp], N, n, [k], MC) == hypergeom_sf(N, N - k, n, n - kp)
 
-    def test_multi_vs_exhaustive_enumeration(self):
-        # J=2, N=8, n=4: enumerate all MHG outcomes exactly
-        N, n = 8, 4
-        ks = [3, 6]
-        kps = [2, 4]
-        colors = (3, 3, 2)
-        prob = 0.0
-        for combo in itertools.combinations(range(N), n):
-            cell = [0, 0, 0]
-            for i in combo:
-                cell[0 if i < 3 else (1 if i < 6 else 2)] += 1
-            if cell[1] + cell[2] > n - kps[0] or cell[2] > n - kps[1]:
-                prob += 1
-        prob /= math.comb(N, n)
-        est = delta_h(kps, N, n, ks, MonteCarloConfig(200_000, 8))
-        assert abs(est - prob) < 0.01
+    @pytest.mark.parametrize("N, n, ks", [
+        (8, 4, [3, 6]), (10, 5, [2, 5, 8]), (12, 6, [0, 6, 12]), (9, 9, [3, 7]),
+        (11, 3, [4, 9, 10]),
+    ])
+    def test_multi_vs_exhaustive_enumeration(self, N, n, ks):
+        law = hypergeom_running_totals(N, n, ks)
+        for kps in itertools.product(range(n + 1), repeat=len(ks)):
+            exact = union_probability(law, kps)
+            assert abs(delta_h(kps, N, n, ks) - exact) <= 1e-12, kps
+
+    def test_mc_is_ignored(self):
+        args = ([7, 12], 60, 20, [30, 45])
+        assert delta_h(*args, MC) == delta_h(*args, MonteCarloConfig(10, 1))
 
     def test_monotone_in_kprime(self):
         vals = [delta_h([kp], 20, 8, [10]) for kp in range(0, 9)]
@@ -147,6 +141,8 @@ class TestDeltaH:
             delta_h([1], 10, 4, [5, 3])
         with pytest.raises(ValueError):
             delta_h([9], 10, 4, [5])
+        with pytest.raises(ValueError):
+            delta_h([1], 10, 4, [3, 5])
 
 
 class TestDeltaM:
@@ -163,22 +159,27 @@ class TestDeltaM:
             exact = delta_m([kp], n, [0.0])
             assert exact == pytest.approx(1.0 if kp > 0 else 0.0)
 
-    def test_multi_vs_exhaustive(self):
-        n = 6
-        betas = [0.3, 0.7]
-        kps = [2, 4]
-        probs = (0.3, 0.4, 0.3)
-        prob = 0.0
-        for cell in itertools.product(range(n + 1), repeat=3):
-            if sum(cell) != n:
-                continue
-            p = math.factorial(n)
-            for c, pr in zip(cell, probs):
-                p = p / math.factorial(c) * pr ** c
-            if cell[1] + cell[2] > n - kps[0] or cell[2] > n - kps[1]:
-                prob += p
-        est = delta_m(kps, n, betas, MonteCarloConfig(200_000, 10))
-        assert abs(est - prob) < 0.01
+    def test_single_beta_is_binom_sf_bitwise(self):
+        for n, beta in [(20, 0.5), (237, 0.7), (6, 0.3)]:
+            for kp in range(n + 1):
+                assert delta_m([kp], n, [beta], MC) == binom_sf(n, 1.0 - beta, n - kp)
+
+    @pytest.mark.parametrize("n, betas", [
+        (4, [0.3, 0.7]), (5, [0.0, 0.5, 1.0]), (6, [0.2, 0.5, 0.9]), (3, [0.1, 0.4]),
+    ])
+    def test_multi_vs_exhaustive(self, n, betas):
+        law = multinomial_running_totals(n, betas)
+        for kps in itertools.product(range(n + 1), repeat=len(betas)):
+            exact = union_probability(law, kps)
+            assert abs(delta_m(kps, n, betas) - exact) <= 1e-12, kps
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            delta_m([1, 2], 4, [0.7, 0.3])
+        with pytest.raises(ValueError):
+            delta_m([1, 2], 4, [0.3, 1.2])
+        with pytest.raises(ValueError):
+            delta_m([1], 4, [0.3, 0.7])
 
 
 class TestChooseKprime:
@@ -214,51 +215,81 @@ class TestChooseKprime:
 
     def test_multi_correction_within_budget(self):
         spec = choose_kprime_multi(60, 30, [30, 42, 54], 0.1, 0.5, MC)
-        assert spec.correction <= 0.05 + 1e-9
+        assert spec.correction <= 0.05
         assert 1 / 3 <= spec.kappa <= 1.0
         assert all(0 <= kp <= 30 for kp in spec.k_primes)
+        assert spec.correction == delta_h(spec.k_primes, 60, 30, [30, 42, 54])
 
-    def test_multi_monotone_in_kappa_on_shared_draws(self):
-        # realized corrections along increasing kappa never decrease
-        from qite.tails import _union_tail_estimate
-
-        N, n = 60, 30
-        ks = [30, 45]
-        colors = np.diff([0, *ks, N])
-        rng = rng_for(MC.seed, 21, N, n)
-        counts = mhg_sample(rng, colors, n, MC.draws)
+    def test_multi_correction_nondecreasing_in_kappa(self):
+        N, n, ks = 60, 30, [30, 45]
         prev = -1.0
         for kappa in np.linspace(0.5, 1.0, 21):
-            kps = [n - hypergeom_quantile(N, N - k, n, 1 - kappa * 0.05) for k in ks]
-            cur = _union_tail_estimate(counts, n, kps)
+            cur = delta_h(grid_kprimes(N, n, ks, 0.05, kappa), N, n, ks)
             assert cur >= prev - 1e-15
             prev = cur
+
+    @pytest.mark.parametrize("N, n, ks, alpha, gamma", [
+        (60, 30, [30, 42, 54], 0.1, 0.5),
+        (40, 12, [20, 30], 0.2, 0.5),
+        (25, 10, [5, 12, 20], 0.1, 0.8),
+        (100, 50, [50, 60, 70, 80, 90], 0.05, 0.5),
+    ])
+    def test_multi_is_largest_fitting_grid_kappa(self, N, n, ks, alpha, gamma):
+        budget = gamma * alpha
+        grid = np.arange(math.ceil(1000 / len(ks)), 1001) / 1000
+        corrs = [delta_h(grid_kprimes(N, n, ks, budget, kappa), N, n, ks)
+                 for kappa in grid]
+        assert all(b >= a - 1e-15 for a, b in zip(corrs, corrs[1:]))
+        fits = [i for i, c in enumerate(corrs) if c <= budget]
+        i = fits[-1] if fits else 0
+        spec = choose_kprime_multi(N, n, ks, alpha, gamma)
+        assert spec.kappa == grid[i]
+        assert spec.k_primes == tuple(grid_kprimes(N, n, ks, budget, grid[i]))
+        assert abs(spec.correction - corrs[i]) <= 1e-15
 
     def test_multinomial_kind(self):
         spec = choose_kprime_multi(0, 40, None, 0.1, 0.5, MC,
                                    kind="multinomial", betas=[0.5, 0.8])
-        assert spec.correction <= 0.05 + 1e-9
+        assert spec.correction <= 0.05
         assert len(spec.k_primes) == 2
+        assert spec.correction == delta_m(spec.k_primes, 40, [0.5, 0.8])
+
+    def test_multinomial_kind_validates_betas(self):
+        with pytest.raises(ValueError, match="increasing"):
+            choose_kprime_multi(0, 40, None, 0.1, 0.5, kind="multinomial", betas=[0.8, 0.5])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            choose_kprime_multi(0, 40, None, 0.1, 0.5, kind="multinomial", betas=[0.5, 1.5])
 
     def test_bonferroni_floor_is_feasible(self):
         # at kappa = 1/J each per-target tail is within (gamma*alpha)/J, so
         # the union bound keeps the joint correction within budget
-        from qite.tails import _union_tail_estimate
-
         N, n, ks = 60, 30, [30, 45, 54]
         gamma, alpha = 0.5, 0.1
-        J = len(ks)
-        kps = [n - hypergeom_quantile(N, N - k, n, 1 - (1 / J) * gamma * alpha)
-               for k in ks]
-        exact_union_bound = sum(
-            hypergeom_sf(N, N - k, n, n - kp) for k, kp in zip(ks, kps))
-        assert exact_union_bound <= gamma * alpha + 1e-12
-        colors = np.diff([0, *ks, N])
-        rng = rng_for(MC.seed, 21, N, n)
-        counts = mhg_sample(rng, colors, n, MC.draws)
-        est = _union_tail_estimate(counts, n, kps)
-        se = math.sqrt(max(est * (1 - est), 1e-12) / MC.draws)
-        assert est <= gamma * alpha + 3 * se
+        kps = grid_kprimes(N, n, ks, gamma * alpha, 1 / len(ks))
+        union_bound = sum(hypergeom_sf(N, N - k, n, n - kp) for k, kp in zip(ks, kps))
+        assert union_bound <= gamma * alpha + 1e-12
+        assert delta_h(kps, N, n, ks) <= union_bound + 1e-15
+
+    def test_population_shape_stays_within_budget(self):
+        # N = 5000, a sample of 20, five quantile levels and a 0.05 budget:
+        # a 1e5-draw estimate once admitted k' = (6, 8, 10, 12, 15), whose
+        # exact correction is 0.0501
+        ks = [math.ceil(5000 * b) for b in (0.5, 0.6, 0.7, 0.8, 0.9)]
+        assert delta_h([6, 8, 10, 12, 15], 5000, 20, ks) > 0.05
+        spec = choose_kprime_multi(5000, 20, ks, 0.1, 0.5, MC)
+        assert spec.correction <= 0.05
+        assert spec.k_primes == (6, 7, 10, 12, 15)
+
+    def test_memory_bounded_at_large_n(self):
+        # n = 1000 draws, J = 5: the dense transition matrices alone would
+        # hold 40 MB
+        tracemalloc.start()
+        try:
+            choose_kprime_multi(2000, 1000, [1000, 1200, 1400, 1600, 1800], 0.05, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
 
 class TestConvergence:
@@ -269,9 +300,13 @@ class TestConvergence:
         assert delta_m([n], n, [0.0]) == 1.0
 
     def test_j1_closed_forms_close_at_large_population(self):
-        gaps = delta_gap_profile([10_000], 20, [0.5], [12])
-        assert gaps[0] <= 0.01
+        gap = abs(delta_h([12], 10_000, 20, [5_000]) - delta_m([12], 20, [0.5]))
+        assert gap <= 0.01
 
     def test_gap_decreasing_in_population_size(self):
-        gaps = delta_gap_profile([100, 1_000, 10_000], 20, [0.5], [12])
-        assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+        for betas, kps in [([0.5], [12]), ([0.5, 0.8], [12, 18])]:
+            dm = delta_m(kps, 20, betas)
+            gaps = [abs(delta_h(kps, N, 20, [math.ceil(N * b) for b in betas]) - dm)
+                    for N in (100, 1_000, 10_000)]
+            assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+            assert gaps[-1] <= 1e-3
