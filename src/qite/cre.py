@@ -132,6 +132,8 @@ def simultaneous_cis(data, transform, ks, alpha, gamma=DEFAULT_GAMMA, mc=DEFAULT
     keeps the better (larger) lower bound, making the result invariant to
     treatment labeling.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     _require_complete(data)
     ks = sorted(int(k) for k in ks)
     if combine_sides:

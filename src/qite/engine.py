@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import DEFAULT_MC, rng_for
 
@@ -117,7 +116,7 @@ class NullDistribution:
                 return 1.0
             if self.sd == 0.0:
                 return 1.0 if x <= self.mean else 0.0
-            return float(ndtr((self.mean - x) / self.sd))
+            return 0.5 * math.erfc((x - self.mean) / (self.sd * math.sqrt(2.0)))
         i = int(np.searchsorted(self.support, x, side="left"))
         if i >= self.tail.size:
             return 0.0

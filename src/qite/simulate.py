@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import DEFAULT_MC, ExperimentData, NEG_INF, RankTransform, rng_for
 from .cre import ci_single, simultaneous_cis
@@ -212,7 +211,10 @@ def coverage_audit(procedure, spec, alpha=0.1, transform=None, mc=DEFAULT_MC,
             return all(fam.interval(b).contains(t) for b, t in zip(betas, truths))
 
     elif procedure == "superpopulation":
-        truths = [2.0 + float(ndtri(b)) for b in betas]   # tau ~ N(2, 1)
+        from statistics import NormalDist
+        tau = NormalDist(2.0, 1.0)   # the effect distribution of generate()
+        truths = [tau.inv_cdf(b) if 0.0 < b < 1.0 else math.copysign(math.inf, b - 0.5)
+                  for b in betas]
         target = PopulationTarget.superpopulation(betas)
 
         def one_rep(r):

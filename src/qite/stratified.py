@@ -237,8 +237,8 @@ def worst_case_tail(data, transforms, gamma_bound, mode="pairs", mc=DEFAULT_MC,
     "asymptotic" provenance marker.
     """
     gamma = float(gamma_bound)
-    if gamma < 1.0:
-        raise ValueError("Gamma must be >= 1")
+    if not 1.0 <= gamma < math.inf:   # also rejects nan
+        raise ValueError(f"Gamma must be finite and >= 1, got {gamma_bound!r}")
     transforms = per_stratum_transforms(data, transforms)
     design = ("sensitivity", gamma, data.stratum_sizes())
 

@@ -5,29 +5,40 @@ of the largest effects land in the sampled (treated) group.  Every
 correction is exact.  One target has a closed-form hypergeometric or
 binomial tail.  Several targets follow the running total of draws below
 each target, a Markov chain on 0..n: one transition per target, then the
-states below its k' are dropped, in O(J n^2) for J targets.  All
-combinatorial quantities are computed in log space so population sizes in
-the tens of thousands do not overflow; probabilities are exponentiated
-last.
+states below its k' are dropped, in O(J n^2) for J targets.  Single-target
+pmfs are running products of their term ratios from the mode, and the
+recursion weights are running sums of log ratios, so population sizes in
+the tens of thousands neither overflow nor need a special function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import DEFAULT_MC
 
 _STEP_BLOCK = 1 << 16   # transition entries built per block
 
 
-def _log_comb(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1)
+def _pmf_from_ratios(num, den):
+    """PMF whose consecutive terms have ratios p[i+1] / p[i] = num[i] / den[i]
+    (all positive and decreasing in i), normalized to sum to 1.
+
+    Built outward from the mode, where the ratio crosses 1, as running
+    products of ratios at most 1: no term overflows, none needs a special
+    function, and each carries a relative rounding error of a few ulps per
+    step from the mode, independent of the population size.
+    """
+    up = num / den
+    mode = int(np.count_nonzero(up > 1.0))
+    p = np.ones(up.size + 1)
+    p[mode + 1:] = np.cumprod(up[mode:])
+    p[:mode] = np.cumprod((den[:mode] / num[:mode])[::-1])[::-1]
+    return p / p.sum()
 
 
 def _check_hg(N, K, n):
@@ -43,10 +54,9 @@ def hypergeom_pmf_vector(N, K, n):
     """PMF over the feasible range, normalized to sum exactly to 1."""
     _check_hg(N, K, n)
     lo, hi = hypergeom_support(N, K, n)
-    x = np.arange(lo, hi + 1)
-    logp = _log_comb(K, x) + _log_comb(N - K, n - x) - _log_comb(N, n)
-    p = np.exp(logp)
-    return x, p / p.sum()
+    x = np.arange(lo, hi, dtype=float)
+    p = _pmf_from_ratios((K - x) * (n - x), (x + 1.0) * (N - K - n + x + 1.0))
+    return np.arange(lo, hi + 1), p
 
 
 def hypergeom_sf(N, K, n, x):
@@ -86,9 +96,8 @@ def binom_pmf_vector(n, p):
         out = np.zeros(n + 1)
         out[-1] = 1.0
         return x, out
-    logp = _log_comb(n, x) + x * math.log(p) + (n - x) * math.log1p(-p)
-    v = np.exp(logp)
-    return x, v / v.sum()
+    t = np.arange(n, dtype=float)
+    return x, _pmf_from_ratios((n - t) * p, (t + 1.0) * (1.0 - p))
 
 
 def binom_sf(n, p, x):
@@ -284,7 +293,18 @@ def choose_kprime_multi(N, n, ks, alpha, gamma, mc=DEFAULT_MC, kind="finite", be
     kind "finite" uses hypergeometric thresholds against population
     indices ks; kind "multinomial" uses binomial thresholds against
     population fractions betas.
+
+    The choice depends on the design only, so it is memoized: a coverage
+    audit computes it once for all replicates, and a balanced m2 run once
+    for both orientations.
     """
+    ks = None if ks is None else tuple(int(k) for k in ks)
+    betas = None if betas is None else tuple(float(b) for b in betas)
+    return _choose_kprime_multi(N, n, ks, alpha, gamma, kind, betas)
+
+
+@lru_cache(maxsize=64)
+def _choose_kprime_multi(N, n, ks, alpha, gamma, kind, betas):
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if not 0.0 <= gamma < 1.0:

@@ -69,6 +69,16 @@ class TestQuantileCi:
             ["quantile-ci", "--data", toy_csv, "--method", "m2", "--all"], tmp_path)
         assert code == 3
 
+    @pytest.mark.parametrize("alpha", ["1.5", "0"])
+    def test_m2_alpha_outside_unit_interval_is_flag_error(self, toy_csv, tmp_path, capsys,
+                                                          alpha):
+        code, prefix = run_cli(
+            ["quantile-ci", "--data", toy_csv, "--method", "m2", "--quantiles", "0.5,0.75",
+             "--alpha", alpha, "--mc-draws", "2000"], tmp_path)
+        assert code == 3
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".json")
+
     def test_m2_quantiles(self, toy_csv, tmp_path):
         code, prefix = run_cli(
             ["quantile-ci", "--data", toy_csv, "--method", "m2", "--gamma", "0.5",
@@ -198,6 +208,18 @@ class TestSensitivityCmd:
              "--mc-draws", "2000"], tmp_path)
         assert code == 3
         assert "alpha must be in (0, 1)" in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".json")
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "1.0,inf"])
+    @pytest.mark.parametrize("mode", ["pairs", "gaussian"])
+    def test_non_finite_gamma_is_flag_error(self, tmp_path, capsys, gamma, mode):
+        p = tmp_path / "pairs.csv"
+        p.write_text(TOY_PAIRS)
+        code, prefix = run_cli(
+            ["sensitivity", "--data", str(p), "--gamma-grid", gamma, "--mode", mode,
+             "--mc-draws", "2000"], tmp_path)
+        assert code == 3
+        assert "Gamma must be finite and >= 1" in capsys.readouterr().err
         assert not os.path.exists(prefix + ".json")
 
     @pytest.mark.parametrize("mode, text, message", [
@@ -387,3 +409,16 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "qite" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only reference; the package and every subcommand run
+    # on numpy and the standard library
+    import qite
+    src = os.path.dirname(os.path.dirname(qite.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, qite, qite.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -312,6 +312,15 @@ class TestSimultaneous:
             assert both.interval(k).lower == max(
                 t_side.interval(k).lower, c_side.interval(k).lower)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2])
+    @pytest.mark.parametrize("combine_sides", [False, True])
+    def test_alpha_outside_unit_interval_rejected(self, alpha, combine_sides):
+        # combine_sides halves alpha per side, so alpha = 1.5 used to reach
+        # each side as 0.75 and yield a family at level -0.5
+        d = ExperimentData.from_arrays([1, 1, 0, 0, 1, 0], [3.0, 4.0, 1.0, 2.0, 5.0, 0.0])
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            simultaneous_cis(d, W, [5, 6], alpha, 0.5, MC, combine_sides=combine_sides)
+
 
 class TestBand:
     def test_single_top_index(self):

@@ -221,6 +221,24 @@ class TestSerialization:
         assert survival(back, NEG_INF) == 1.0
 
 
+class TestGaussianSurvival:
+    @pytest.mark.parametrize("mean, sd", [(0.0, 1.0), (2.0, 1.5), (-3.5, 1e-3), (1e3, 40.0)])
+    def test_matches_scipy_ndtr(self, mean, sd):
+        from scipy.special import ndtr
+
+        nd = NullDistribution("gaussian", ("asymptotic",), ("test",), mean=mean, sd=sd)
+        xs = [mean + sd * z for z in np.linspace(-40.0, 40.0, 801)]
+        xs += [0.0, -1e300, 1e300, float("inf")]
+        for x in xs:
+            assert abs(survival(nd, x) - float(ndtr((mean - x) / sd))) <= 1e-15, x
+        assert survival(nd, NEG_INF) == 1.0
+
+    def test_zero_sd_is_a_point_mass(self):
+        nd = NullDistribution("gaussian", ("asymptotic",), ("test",), mean=2.0, sd=0.0)
+        assert [survival(nd, x) for x in (NEG_INF, 1.0, 2.0, 2.5, float("inf"))] == [
+            1.0, 1.0, 1.0, 0.0, 0.0]
+
+
 def test_null_for_dispatches_on_strata():
     d = ExperimentData.from_arrays([1, 0, 1, 0], [1.0, 2.0, 3.0, 4.0], ["a", "a", "b", "b"])
     nd = null_for(d, W)

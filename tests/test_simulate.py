@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qite import DgpSpec, MonteCarloConfig, coverage_audit, generate
+from qite import DgpSpec, MonteCarloConfig, coverage_audit, generate, tails
 from qite.model import NEG_INF
 from qite.simulate import gamma_study, method_comparison, rows_to_csv
 
@@ -93,6 +93,35 @@ class TestCoverage:
         res = coverage_audit("combined-all-quantiles", spec, alpha=0.1, mc=MC)
         assert res.coverage >= 0.8 - 3 * res.se
         assert res.replications == 60
+
+    @pytest.mark.parametrize("procedure", ["multi-quantile", "finite-population",
+                                           "superpopulation"])
+    def test_count_correction_computed_once_per_audit(self, procedure, monkeypatch):
+        spec = DgpSpec(n=20, rho2=0.5, replications=4, seed=11)
+        computed, uncached = [], tails._choose_kprime_multi.__wrapped__
+
+        def per_replicate(*args):
+            computed.append(uncached(*args))
+            return computed[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(tails, "_choose_kprime_multi", per_replicate)
+            fresh = coverage_audit(procedure, spec, mc=MC, pop_N=40)
+        assert len(computed) == spec.replications
+        tails._choose_kprime_multi.cache_clear()
+        memoized = coverage_audit(procedure, spec, mc=MC, pop_N=40)
+        info = tails._choose_kprime_multi.cache_info()
+        assert (info.misses, info.hits) == (1, spec.replications - 1)
+        assert memoized == fresh
+        assert all(c == computed[0] for c in computed)
+
+    def test_superpopulation_truths_match_scipy_ndtri(self):
+        from statistics import NormalDist
+
+        from scipy.special import ndtri
+
+        for b in np.linspace(0.01, 0.99, 99):
+            assert abs(NormalDist().inv_cdf(b) - float(ndtri(b))) <= 1e-12, b
 
     def test_zero_replications_rejected(self):
         with pytest.raises(ValueError, match="replications"):

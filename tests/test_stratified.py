@@ -227,6 +227,15 @@ class TestWorstCaseTail:
         with pytest.raises(ValueError):
             worst_case_tail(pairs_data(), W, 0.5, mode="pairs")
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["pairs", "gaussian"])
+    def test_non_finite_gamma_rejected(self, gamma, mode):
+        # nan < 1 is false, so a bare lower-bound check let nan through
+        d = pairs_data() if mode == "pairs" else ExperimentData.from_arrays(
+            [1, 0, 0] * 2, [3.0, 2.0, 1.0] * 2, [0, 0, 0, 1, 1, 1])
+        with pytest.raises(ValueError, match="finite"):
+            worst_case_tail(d, W, gamma, mode=mode)
+
 
 def _one_shot_pairs_draws(data, transforms, gamma, mc):
     """The pairs Monte Carlo fallback as one (draws, S) array: the

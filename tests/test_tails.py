@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from qite import MonteCarloConfig, choose_kprime_multi, choose_kprime_single, delta_h, delta_m
+from qite import tails
 from qite.tails import (
     binom_quantile, binom_sf, hypergeom_pmf_vector, hypergeom_quantile, hypergeom_sf,
 )
@@ -283,6 +284,7 @@ class TestChooseKprime:
     def test_memory_bounded_at_large_n(self):
         # n = 1000 draws, J = 5: the dense transition matrices alone would
         # hold 40 MB
+        tails._choose_kprime_multi.cache_clear()   # measure a computation, not a lookup
         tracemalloc.start()
         try:
             choose_kprime_multi(2000, 1000, [1000, 1200, 1400, 1600, 1800], 0.05, 0.5)
@@ -290,6 +292,88 @@ class TestChooseKprime:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
+
+
+def comb_row(m, top):
+    """[C(m, x) for x in 0..top], by the exact integer recurrence."""
+    row = [1]
+    for x in range(top):
+        row.append(row[-1] * (m - x) // (x + 1))
+    return row
+
+
+def exact_tails(terms, total, lo):
+    """P(X > x) for x = lo..lo+len(terms)-2, from integer point masses."""
+    out, upper = {}, 0
+    for i in range(len(terms) - 1, 0, -1):
+        upper += terms[i]
+        out[lo + i - 1] = upper / total   # int / int rounds correctly
+    return out
+
+
+def exact_hypergeom_sf(N, K, n):
+    """P(X > x) for every x of the support, by integer arithmetic."""
+    lo, hi = max(0, n + K - N), min(K, n)
+    good, bad = comb_row(K, n), comb_row(N - K, n)
+    terms = [good[x] * bad[n - x] for x in range(lo, hi + 1)]
+    return exact_tails(terms, math.comb(N, n), lo)
+
+
+def exact_binom_sf(n, p):
+    """P(X > x) for x = 0..n-1; p must be a dyadic rational."""
+    a, d = float(p).as_integer_ratio()
+    low, high = [1], [1]
+    for _ in range(n):
+        low.append(low[-1] * a)
+        high.append(high[-1] * (d - a))
+    terms = [c * low[x] * high[n - x] for x, c in enumerate(comb_row(n, n))]
+    return exact_tails(terms, d**n, 0)
+
+
+def exact_delta_h2(k_primes, N, n, ks):
+    """delta_h at two targets, summed over the counts below each target."""
+    (k1, k2), (kp1, kp2) = ks, k_primes
+    lower, middle, upper = comb_row(k1, n), comb_row(k2 - k1, n), comb_row(N - k2, n)
+    count = sum(lower[x1] * middle[x2] * upper[n - x1 - x2]
+                for x1 in range(n + 1) for x2 in range(n + 1 - x1)
+                if x1 < kp1 or x1 + x2 < kp2)
+    return count / math.comb(N, n)
+
+
+def assert_relative(got, want, rtol=1e-12):
+    assert abs(got - want) <= rtol * want, (got, want)
+
+
+class TestExactArithmetic:
+    """The tails agree with integer arithmetic at the population sizes the
+    CLI runs: N = 20, 233 and 1000 with their treated counts, and N = 5000
+    with a sample of 20."""
+
+    SHAPES = [(20, 10), (233, 164), (1000, 500), (5000, 20)]
+
+    @pytest.mark.parametrize("N, n", SHAPES)
+    def test_hypergeom_sf(self, N, n):
+        for K in sorted({1, N // 10, N // 3, N // 2, 2 * N // 3, 9 * N // 10, N - 1}):
+            for x, want in exact_hypergeom_sf(N, K, n).items():
+                if want > 1e-300:   # below, doubles are subnormal
+                    assert_relative(hypergeom_sf(N, K, n, x), want)
+
+    @pytest.mark.parametrize("n", [20, 233, 1000, 5000])
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.875])
+    def test_binom_sf(self, n, p):
+        for x, want in exact_binom_sf(n, p).items():
+            if want > 1e-300:
+                assert_relative(binom_sf(n, p, x), want)
+
+    @pytest.mark.parametrize("N, n, ks, k_primes", [
+        (20, 10, (10, 15), [(3, 6), (2, 7)]),
+        (233, 164, (117, 187), [(76, 127), (60, 140)]),
+        (1000, 500, (500, 800), [(235, 388), (200, 400)]),
+        (5000, 20, (2500, 4000), [(6, 13), (3, 15)]),
+    ])
+    def test_delta_h_two_targets(self, N, n, ks, k_primes):
+        for kps in k_primes:
+            assert_relative(delta_h(kps, N, n, ks), exact_delta_h2(kps, N, n, ks))
 
 
 class TestConvergence:
