@@ -88,6 +88,45 @@ class TestQuantileCi:
         fam = json.loads(open(prefix + ".json").read())
         assert [e["index"] for e in fam["entries"]] == [4, 6, 8]
 
+    def test_m2_band_steps_over_every_index(self, toy_csv, tmp_path):
+        code, prefix = run_cli(
+            ["quantile-ci", "--data", toy_csv, "--method", "m2", "--quantiles", "0.625,1",
+             "--alpha", "0.4", "--band", "--seed", "2", "--mc-draws", "2000"], tmp_path)
+        assert code == 0
+        got = json.loads(open(prefix + ".json").read())
+        from qite import MonteCarloConfig, RankTransform, band, load_experiment, simultaneous_cis
+        data = load_experiment(TOY)
+        fam = simultaneous_cis(data, RankTransform.wilcoxon(), [5, 8], 0.4, 0.5,
+                               MonteCarloConfig(2000, 2), combine_sides=True)
+        assert got == json.loads(json.dumps(band(fam, data.n).to_dict()))
+        assert [e["index"] for e in got["entries"]] == list(range(1, 9))
+        # k = 1..7 lie below the first target or take its unbounded interval
+        lowers = [(e["lower"], e["closed"]) for e in got["entries"]]
+        assert lowers[:7] == [("-inf", False)] * 7
+        assert lowers[7][0] == fam.interval(8).lower == 1.0
+
+    def test_stephenson_statistic_reaches_library(self, toy_csv, tmp_path):
+        from qite import (MonteCarloConfig, RankTransform, combine_treated_control,
+                          load_experiment, pvalue_all)
+        data, s3, mc = load_experiment(TOY), RankTransform.stephenson(3), MonteCarloConfig(2000, 5)
+        code, prefix = run_cli(
+            ["quantile-ci", "--data", toy_csv, "--method", "m1", "--alpha", "0.2", "--all",
+             "--statistic", "stephenson", "--s", "3", "--seed", "5", "--mc-draws", "2000"],
+            tmp_path, "ci")
+        assert code == 0
+        got = json.loads(open(prefix + ".json").read())
+        want = combine_treated_control(data, s3, 0.2, mc=mc)
+        assert got == json.loads(json.dumps(want.to_dict()))
+        assert got != json.loads(json.dumps(
+            combine_treated_control(data, RankTransform.wilcoxon(), 0.2, mc=mc).to_dict()))
+        code, prefix = run_cli(
+            ["test", "--data", toy_csv, "--k", "6", "--c", "0.5", "--statistic", "stephenson",
+             "--s", "3", "--seed", "5", "--mc-draws", "2000"], tmp_path, "test")
+        assert code == 0
+        out = json.loads(open(prefix + ".json").read())
+        res = pvalue_all(data, s3, 6, 0.5, mc=mc)
+        assert (out["p_value"], out["statistic_min"]) == (res.value, res.statistic_min)
+
     def test_schema_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("z,y\n1,1.0\n1,2.0\n")   # no controls
@@ -289,6 +328,21 @@ class TestSimulateCmd:
         rows = open(prefix + ".csv").read().splitlines()
         assert rows[0] == "rho2,quantile_pct,method_or_gamma,median_lower,n_informative"
         assert len(rows) > 1
+
+    def test_gamma_study_csv(self, tmp_path):
+        code, prefix = run_cli(
+            ["simulate", "--study", "gamma", "--n", "24", "--replications", "3",
+             "--gamma-grid", "0,0.5", "--quantiles", "0.75,0.9", "--alpha", "0.2",
+             "--s", "3", "--seed", "12", "--mc-draws", "2000"], tmp_path)
+        assert code == 0
+        assert json.loads(open(prefix + ".json").read()) == {"rows": 4, "study": "gamma"}
+        assert open(prefix + ".csv").read().splitlines() == [
+            "rho2,quantile_pct,method_or_gamma,median_lower,n_informative",
+            "0.5,75,0.0,-inf,0",
+            "0.5,90,0.0,1.0584677160174503,3",
+            "0.5,75,0.5,-0.18042128753324146,3",
+            "0.5,90,0.5,1.0584677160174503,3",
+        ]
 
     def test_coverage_study(self, tmp_path):
         code, prefix = run_cli(

@@ -218,6 +218,16 @@ class TestCiSingle:
             assert res.warning is not None
             assert res.interval == OneSidedInterval(NEG_INF, False)
 
+    def test_correction_consuming_budget_gives_flagged_whole_line(self, monkeypatch):
+        # unreachable through the chooser, so force an oversized correction
+        import qite.cre
+        monkeypatch.setattr(qite.cre, "hypergeom_sf", lambda *args: 0.5)
+        d = ExperimentData.from_arrays([1, 1, 0, 0, 1], [3.0, 4.0, 1.0, 2.0, 5.0])
+        res = ci_single(d, W, 4, 0.2, 0.5, mc=MC)
+        assert res.interval == OneSidedInterval(NEG_INF, False)
+        assert res.correction == 0.5 and res.alpha_effective == 0.2 - 0.5
+        assert res.warning == "correction consumed the error budget"
+
     def test_teacher_shaped_informative_above_threshold(self):
         d = teacher_shaped()
         s6 = RankTransform.stephenson(6)

@@ -5,7 +5,7 @@ from qite import (
     ExperimentData, MonteCarloConfig, PopulationTarget, RankTransform,
     population_band, population_cis,
 )
-from qite.model import NEG_INF
+from qite.model import NEG_INF, UNINFORMATIVE
 
 W = RankTransform.wilcoxon()
 MC = MonteCarloConfig(50_000, 23)
@@ -118,6 +118,23 @@ class TestFinitePopulation:
         fam = population_cis(d, W, PopulationTarget.finite(10_000, [0.5]), 0.01, MC)
         if fam.warnings:
             assert all(iv.lower == NEG_INF for _, iv in fam.entries)
+
+
+    @pytest.mark.parametrize("target, label", [
+        (PopulationTarget.finite(100, [0.5, 0.9]), "population-quantiles(N=100)"),
+        (PopulationTarget.superpopulation([0.5, 0.9]), "population-quantiles(superpopulation)"),
+    ])
+    def test_correction_consuming_budget_gives_flagged_whole_lines(self, monkeypatch,
+                                                                   target, label):
+        # unreachable through the chooser, so force an oversized correction
+        import qite.population
+        from qite.tails import CorrectionSpec
+        monkeypatch.setattr(qite.population, "choose_kprime_multi",
+                            lambda *args, **kwargs: CorrectionSpec((10, 20), 0.5, 0.5, 1.0))
+        fam = population_cis(medium_experiment(6), W, target, 0.2, MC)
+        assert fam.entries == ((0.5, UNINFORMATIVE), (0.9, UNINFORMATIVE))
+        assert (fam.level, fam.simultaneous, fam.target) == (0.8, True, label)
+        assert fam.warnings == ("correction consumed the error budget",)
 
 
 class TestBand:

@@ -70,6 +70,23 @@ class TestStudies:
         assert by_gamma["0.0"]["n_informative"] == 0
         assert by_gamma["0.5"]["n_informative"] > 0
 
+    def test_gamma_rows_are_m2_rows_of_method_comparison(self):
+        spec = DgpSpec(n=24, rho2=0.5, replications=3, seed=12)
+        mc = MonteCarloConfig(2000, 4)
+        rows = gamma_study(spec, gammas=(0.0, 0.5), quantiles=(0.75, 0.9), alpha=0.2,
+                           s=3, mc=mc)
+        assert [(r["method_or_gamma"], r["quantile_pct"], r["median_lower"],
+                 r["n_informative"]) for r in rows] == [
+            ("0.0", 75, NEG_INF, 0), ("0.0", 90, 1.1616020293268454, 3),
+            ("0.5", 75, 0.04667528534633081, 3), ("0.5", 90, 1.0584677160174503, 3),
+        ]
+        for gamma in (0.0, 0.5):
+            m2 = method_comparison(spec, quantiles=(0.75, 0.9), alpha=0.2, s=3,
+                                   gamma=gamma, mc=mc, methods=("m2",))
+            label = f"{gamma:.1f}"
+            assert [r | {"method_or_gamma": label} for r in m2] == [
+                r for r in rows if r["method_or_gamma"] == label]
+
     def test_deterministic_rows(self):
         spec = DgpSpec(n=30, rho2=0.4, replications=5, seed=8)
         a = method_comparison(spec, quantiles=(0.8,), s=2, mc=MC, methods=("m1",))
