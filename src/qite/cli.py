@@ -22,8 +22,8 @@ import time
 
 from . import __version__
 from .model import (
-    DataError, IntervalFamily, MonteCarloConfig, RankTransform, _json_real,
-    load_experiment,
+    MAX_ABS_OUTCOME, DataError, IntervalFamily, MonteCarloConfig, RankTransform,
+    _json_real, load_experiment,
 )
 from .cre import band, corrected_pvalue, simultaneous_cis
 from .engine import ExactEnumerationError
@@ -53,13 +53,16 @@ def _float_list(text):
         raise FlagError(f"expected a comma-separated number list, got {text!r}") from None
 
 
-def _finite_float(text):
+def _threshold(text):
+    """An effect threshold, at most twice the outcome bound in size, so that
+    an outcome minus it stays finite."""
     try:
         value = float(text)
     except ValueError:
         raise FlagError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise FlagError(f"expected a finite number, got {text!r}")
+    if not abs(value) <= 2 * MAX_ABS_OUTCOME:
+        raise FlagError(f"expected a finite number within +-{2 * MAX_ABS_OUTCOME:.6g}, "
+                        f"got {text!r}")
     return value
 
 
@@ -100,7 +103,7 @@ def _build_parser():
     sp = sub.add_parser("test", help="p-value for a quantile hypothesis")
     add_common(sp)
     sp.add_argument("--k", required=True, help="quantile index, or 'n'")
-    sp.add_argument("--c", type=_finite_float, required=True, help="effect threshold")
+    sp.add_argument("--c", type=_threshold, required=True, help="effect threshold")
     sp.add_argument("--scope", choices=("all", "treated"), default="all")
     sp.add_argument("--method", choices=("original", "corrected"), default="original")
     sp.add_argument("--gamma", type=float, default=0.5)
@@ -165,7 +168,18 @@ def _family_csv(family, path):
             writer.writerow([idx, _json_real(iv.lower), iv.closed, family.level])
 
 
-def _emit(args, payload, digest, started, family=None, rows=None):
+def _run(args):
+    """Load the data, build the transform and the Monte Carlo config, run
+    the command, and write its result, CSV and manifest."""
+    started = time.monotonic()
+    data, digest = _load(args) if hasattr(args, "data") else (None, "")
+    transform = _transform(args)
+    mc = MonteCarloConfig(args.mc_draws, _resolve_seed(args))
+    payload, family, rows = _COMMANDS[args.command](args, data, transform, mc)
+    if family is not None:
+        for w in family.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+
     prefix = args.output
     paths = {"json": f"{prefix}.json"}
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -192,19 +206,16 @@ def _emit(args, payload, digest, started, family=None, rows=None):
     sys.stdout.write(text + "\n")
 
 
-def _warn_if_uninformative(family):
-    for w in family.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+# Each command takes (args, data, transform, mc) and returns the JSON
+# payload, the interval family written as CSV (or None) and the simulation
+# rows written as CSV (or None).
 
-
-def cmd_quantile_ci(args):
-    started = time.monotonic()
-    data, digest = _load(args)
-    transform = _transform(args)
-    mc = MonteCarloConfig(args.mc_draws, _resolve_seed(args))
+def cmd_quantile_ci(args, data, transform, mc):
     if args.method == "m2" and args.all:
         raise FlagError("m2 needs an explicit --quantiles list, not --all")
     if args.quantiles is not None:
+        if not args.quantiles:
+            raise FlagError("--quantiles needs at least one level")
         bad = [q for q in args.quantiles if not 0.0 < q <= 1.0]
         if bad:
             raise FlagError(f"quantile levels must lie in (0, 1]: {bad}")
@@ -224,17 +235,15 @@ def cmd_quantile_ci(args):
     if args.method in ("m0", "m1") and args.quantiles is not None:
         fam = IntervalFamily(tuple((k, fam.interval(k)) for k in ks),
                              fam.level, fam.simultaneous, fam.target, fam.warnings)
-    _warn_if_uninformative(fam)
-    _emit(args, fam.to_dict(), digest, started, family=fam)
+    return fam.to_dict(), fam, None
 
 
-def cmd_test(args):
-    started = time.monotonic()
-    data, digest = _load(args)
-    transform = _transform(args)
-    mc = MonteCarloConfig(args.mc_draws, _resolve_seed(args))
+def cmd_test(args, data, transform, mc):
     k = data.n if args.k == "n" else int(args.k)
     if args.method == "corrected":
+        if args.scope != "all":
+            raise FlagError("--method corrected tests a hypothesis about all units; "
+                            f"--scope {args.scope} does not apply")
         kp = choose_kprime_single(data.n, data.n_t, k, args.alpha, args.gamma)
         res = corrected_pvalue(data, transform, k, args.c, kp, mc=mc)
     else:
@@ -250,14 +259,10 @@ def cmd_test(args):
         "k_prime": res.k_prime,
         "null_provenance": list(res.null_provenance),
     }
-    _emit(args, payload, digest, started)
+    return payload, None, None
 
 
-def cmd_sensitivity(args):
-    started = time.monotonic()
-    data, digest = _load(args)
-    transform = _transform(args)
-    mc = MonteCarloConfig(args.mc_draws, _resolve_seed(args))
+def cmd_sensitivity(args, data, transform, mc):
     curve = sensitivity_curve(data, transform, args.alpha, args.gamma_grid,
                               args.mode, mc)
     payload = {
@@ -267,27 +272,20 @@ def cmd_sensitivity(args):
             {"k": k, "largest_gamma": g} for k, g in curve.zero_exclusion
         ],
     }
-    _emit(args, payload, digest, started, family=curve.families[-1])
+    return payload, curve.families[-1], None
 
 
-def cmd_population_ci(args):
-    started = time.monotonic()
-    data, digest = _load(args)
-    transform = _transform(args)
-    mc = MonteCarloConfig(args.mc_draws, _resolve_seed(args))
+def cmd_population_ci(args, data, transform, mc):
     if args.superpopulation:
         target = PopulationTarget.superpopulation(args.betas)
     else:
         target = PopulationTarget.finite(args.population_size, args.betas)
     fam = population_cis(data, transform, target, args.alpha, mc,
                          args.split_gamma, args.units)
-    _warn_if_uninformative(fam)
-    _emit(args, fam.to_dict(), digest, started, family=fam)
+    return fam.to_dict(), fam, None
 
 
-def cmd_simulate(args):
-    started = time.monotonic()
-    mc = MonteCarloConfig(args.mc_draws, _resolve_seed(args))
+def cmd_simulate(args, data, transform, mc):
     if not args.rho2:
         raise FlagError("--rho2 needs at least one value")
     if args.study != "method-comparison" and len(args.rho2) > 1:
@@ -300,13 +298,15 @@ def cmd_simulate(args):
                                  mc=mc)
         payload = {"study": "method-comparison", "rows": len(rows)}
     elif args.study == "gamma":
-        gammas = args.gamma_grid or [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        gammas = args.gamma_grid
+        if gammas is None:
+            gammas = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         rows = gamma_study(spec, gammas=tuple(gammas), quantiles=tuple(args.quantiles),
                            alpha=args.alpha, s=args.s, mc=mc)
         payload = {"study": "gamma", "rows": len(rows)}
     else:
         result = coverage_audit(args.procedure, spec, alpha=args.alpha,
-                                transform=_transform(args), mc=mc,
+                                transform=transform, mc=mc,
                                 quantiles=tuple(args.quantiles), gamma=args.gamma)
         rows = None
         payload = {
@@ -316,7 +316,7 @@ def cmd_simulate(args):
             "mc_se": result.se,
             "replications": result.replications,
         }
-    _emit(args, payload, "", started, rows=rows)
+    return payload, None, rows
 
 
 _COMMANDS = {
@@ -332,7 +332,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _COMMANDS[args.command](args)
+        _run(args)
         return 0
     except DataError as exc:
         print(f"input error: {exc}", file=sys.stderr)

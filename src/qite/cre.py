@@ -155,9 +155,7 @@ def simultaneous_cis(data, transform, ks, alpha, gamma=DEFAULT_GAMMA, mc=DEFAULT
         spec = choose_kprime_multi(n, n_t, ks, alpha, gamma)
     alpha_eff = alpha - spec.correction
     if alpha_eff <= 0.0:
-        entries = tuple((k, UNINFORMATIVE) for k in ks)
-        return IntervalFamily(entries, 1.0 - alpha, True, "sample-quantiles-all",
-                              ("correction consumed the error budget",))
+        return _budget_spent(ks, alpha, "sample-quantiles-all")
     dist = _resolve_null(data, transform, dist, mc)
     profiles = _ProfileCache(data, transform)
     entries = [(k, _invert_treated_at(profiles, kp, alpha_eff, dist))
@@ -165,16 +163,27 @@ def simultaneous_cis(data, transform, ks, alpha, gamma=DEFAULT_GAMMA, mc=DEFAULT
     return IntervalFamily(tuple(entries), 1.0 - alpha, True, "sample-quantiles-all")
 
 
+def _budget_spent(indices, alpha, target):
+    """Whole-line family for a correction that consumed the error budget."""
+    return IntervalFamily(tuple((i, UNINFORMATIVE) for i in indices), 1.0 - alpha, True,
+                          target, ("correction consumed the error budget",))
+
+
 def band(family, n):
     """Step-function extension of simultaneous quantile intervals to every
-    k = 1..n: each k inherits the interval of the largest covered index."""
-    idx = [int(k) for k, _ in family.entries]
-    ivs = [iv for _, iv in family.entries]
+    k = 1..n."""
+    return _step_band(family, range(1, n + 1))
+
+
+def _step_band(family, points, slack=0.0):
+    """Step-function extension of a family to ``points``: each point takes
+    the interval of the largest index at or below it (within ``slack``),
+    and points below every index take the whole line."""
     entries = []
     j = -1
-    for k in range(1, n + 1):
-        while j + 1 < len(idx) and idx[j + 1] <= k:
+    for x in points:
+        while j + 1 < len(family.entries) and family.entries[j + 1][0] <= x + slack:
             j += 1
-        entries.append((k, ivs[j] if j >= 0 else UNINFORMATIVE))
+        entries.append((x, family.entries[j][1] if j >= 0 else UNINFORMATIVE))
     return IntervalFamily(tuple(entries), family.level, True, family.target,
                           family.warnings)

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -17,6 +18,10 @@ import numpy as np
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+# bound on |outcome|: a gap between two outcomes stays below max/2, and an
+# outcome minus a gap below 3*max/4, so every threshold and imputed outcome
+# is finite
+MAX_ABS_OUTCOME = sys.float_info.max / 4
 
 
 class DataError(ValueError):
@@ -151,6 +156,8 @@ class ExperimentData:
             raise DataError("treatment indicator must be binary 0/1")
         if not np.all(np.isfinite(y)):
             raise DataError("outcomes must be finite numbers")
+        if np.any(np.abs(y) > MAX_ABS_OUTCOME):
+            raise DataError(f"outcomes must lie within +-{MAX_ABS_OUTCOME:.6g}")
         if z.sum() < 1 or (1 - z).sum() < 1:
             raise DataError("need at least one treated and one control unit")
         strata = self.strata
@@ -179,14 +186,7 @@ class ExperimentData:
     @staticmethod
     def from_arrays(z, y, strata=None):
         """Build from raw arrays; stratum values may be arbitrary labels."""
-        codes, labels = (None, ())
-        if strata is not None:
-            seen = {}
-            codes = []
-            for v in strata:
-                codes.append(seen.setdefault(v, len(seen)))
-            labels = tuple(seen)
-            codes = np.array(codes, dtype=np.int64)
+        codes, labels = (None, ()) if strata is None else _code_strata(strata)
         return ExperimentData(np.asarray(z), np.asarray(y), codes, labels)
 
     @property
@@ -230,6 +230,14 @@ class ExperimentData:
     def stratum_sizes(self):
         """Per-stratum (n_s, n_st) pairs."""
         return self._strata_index[1]
+
+
+def _code_strata(labels):
+    """Stratum codes numbering labels by first appearance, and the labels
+    in code order."""
+    seen = {}
+    codes = np.array([seen.setdefault(v, len(seen)) for v in labels], dtype=np.int64)
+    return codes, tuple(seen)
 
 
 def switch_labels_negate(data):
@@ -285,12 +293,7 @@ def load_experiment(source, shuffle_seed=None):
         order = rng_for(shuffle_seed, 7).permutation(len(z))
         shuffle = (int(shuffle_seed), tuple(int(i) for i in order))
     take = lambda seq: [seq[i] for i in order]
-    codes, labels = None, ()
-    if has_stratum:
-        seen = {}
-        codes = np.array([seen.setdefault(v, len(seen)) for v in take(strata)],
-                         dtype=np.int64)
-        labels = tuple(seen)
+    codes, labels = _code_strata(take(strata)) if has_stratum else (None, ())
     return ExperimentData(
         np.array(take(z)), np.array(take(y), dtype=float), codes, labels,
         tuple(take(ids)) if has_id else (), shuffle,

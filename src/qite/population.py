@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DEFAULT_MC, IntervalFamily, UNINFORMATIVE
+from .cre import _budget_spent, _step_band
 from .stratified import combine_treated_control, prediction_intervals_treated
-from .tails import choose_kprime_multi
+from .tails import _validate_betas, choose_kprime_multi
 
 
 @dataclass(frozen=True)
@@ -31,13 +32,7 @@ class PopulationTarget:
     def __post_init__(self):
         if self.kind not in ("finite", "super"):
             raise ValueError(f"unknown population kind {self.kind!r}")
-        betas = tuple(float(b) for b in self.betas)
-        if not betas:
-            raise ValueError("need at least one quantile level")
-        if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-            raise ValueError("betas must be strictly increasing")
-        if betas[0] < 0.0 or betas[-1] > 1.0:
-            raise ValueError("betas must lie in [0, 1]")
+        betas = tuple(_validate_betas(self.betas))
         if self.kind == "finite" and self.N < 1:
             raise ValueError("finite population needs N >= 1")
         object.__setattr__(self, "betas", betas)
@@ -49,16 +44,6 @@ class PopulationTarget:
     @staticmethod
     def superpopulation(betas):
         return PopulationTarget("super", tuple(betas))
-
-
-def _sample_quantile_family(data, transforms, alpha_eff, units, mc):
-    """Simultaneous 1-alpha_eff prediction intervals for sample effect
-    quantiles, by which units form the sample."""
-    if units == "all":
-        return combine_treated_control(data, transforms, alpha_eff / 2.0, mc=mc)
-    if units == "treated":
-        return prediction_intervals_treated(data, transforms, alpha_eff, mc=mc)
-    raise ValueError(f"unknown units {units!r}")
 
 
 def population_cis(data, transforms, target, alpha, mc=DEFAULT_MC, split_gamma=0.5,
@@ -75,6 +60,8 @@ def population_cis(data, transforms, target, alpha, mc=DEFAULT_MC, split_gamma=0
         raise ValueError("alpha must be in (0, 1)")
     if not 0.0 < split_gamma < 1.0:
         raise ValueError("split_gamma must be in (0, 1)")
+    if units not in ("all", "treated", "control"):
+        raise ValueError(f"unknown units {units!r}")
     if units in ("treated", "control") and data.n_strata > 1:
         raise ValueError(
             f"units={units!r} needs complete randomization, so that the group is a "
@@ -105,11 +92,12 @@ def population_cis(data, transforms, target, alpha, mc=DEFAULT_MC, split_gamma=0
 
     alpha_eff = alpha - spec.correction
     if alpha_eff <= 0.0:
-        entries = tuple((b, UNINFORMATIVE) for b in betas)
-        return IntervalFamily(entries, 1.0 - alpha, True, label,
-                              ("correction consumed the error budget",))
-
-    fam = _sample_quantile_family(data, transforms, alpha_eff, units, mc)
+        return _budget_spent(betas, alpha, label)
+    # simultaneous 1-alpha_eff prediction intervals for the sample quantiles
+    if units == "all":
+        fam = combine_treated_control(data, transforms, alpha_eff / 2.0, mc=mc)
+    else:
+        fam = prediction_intervals_treated(data, transforms, alpha_eff, mc=mc)
     entries = []
     for b, kp in zip(betas, spec.k_primes):
         entries.append((b, fam.interval(kp) if kp >= 1 else UNINFORMATIVE))
@@ -118,15 +106,6 @@ def population_cis(data, transforms, target, alpha, mc=DEFAULT_MC, split_gamma=0
 
 def population_band(family, grid=None):
     """Step-function extension of population quantile intervals over beta."""
-    betas = [b for b, _ in family.entries]
-    ivs = [iv for _, iv in family.entries]
     if grid is None:
         grid = np.linspace(0.01, 1.0, 100)
-    entries = []
-    j = -1
-    for b in grid:
-        while j + 1 < len(betas) and betas[j + 1] <= b + 1e-12:
-            j += 1
-        entries.append((float(b), ivs[j] if j >= 0 else UNINFORMATIVE))
-    return IntervalFamily(tuple(entries), family.level, True, family.target,
-                          family.warnings)
+    return _step_band(family, [float(b) for b in grid], slack=1e-12)

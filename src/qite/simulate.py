@@ -38,8 +38,11 @@ class DgpSpec:
     def __post_init__(self):
         if not 0.0 < self.rho2 < 1.0:
             raise ValueError("rho2 must be in (0, 1)")
-        if not 0.0 < self.treat_fraction < 1.0:
-            raise ValueError("treat_fraction must be in (0, 1)")
+        if self.n < 2:
+            raise ValueError("n must be at least 2")
+        if not (0.0 < self.treat_fraction < 1.0
+                and 1 <= round(self.treat_fraction * self.n) <= self.n - 1):
+            raise ValueError("treat_fraction * n must round to a treated count in [1, n - 1]")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
 
@@ -65,6 +68,9 @@ def _parallel(fn, items):
 
 
 def _quantile_ks(n, quantiles):
+    if not quantiles or not all(0.0 < q <= 1.0 for q in quantiles):
+        raise ValueError("quantile levels must be a nonempty list in (0, 1], "
+                         f"got {list(quantiles)}")
     return [math.ceil(q * n) for q in quantiles]
 
 
@@ -133,31 +139,12 @@ def gamma_study(spec, gammas=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
                 quantiles=(0.5, 0.6, 0.7, 0.8, 0.9), alpha=0.1, s=6,
                 mc=DEFAULT_MC):
     """Median lower limits of the count-corrected method across the budget
-    fraction gamma."""
-    transform = RankTransform.stephenson(s)
-    ks = _quantile_ks(spec.n, quantiles)
-    sample = generate(spec, 0)[0]
-    rows = []
-    for gamma in gammas:
-        corrections = _m2_corrections(sample.n, sample.n_t, ks, alpha, gamma)
-
-        def one_rep(r):
-            data, _ = generate(spec, r)
-            fam = simultaneous_cis(data, transform, ks, alpha, gamma, mc,
-                                   combine_sides=True, corrections=corrections)
-            return [fam.interval(k).lower for k in ks]
-
-        mat = np.array(_parallel(one_rep, range(spec.replications)))
-        for qi, q in enumerate(quantiles):
-            col = mat[:, qi]
-            rows.append({
-                "rho2": spec.rho2,
-                "quantile_pct": int(round(q * 100)),
-                "method_or_gamma": f"{gamma:.1f}",
-                "median_lower": float(np.median(col)),
-                "n_informative": int(np.sum(col > NEG_INF)),
-            })
-    return rows
+    fraction gamma: the m2 rows of ``method_comparison`` per gamma."""
+    if not gammas:
+        raise ValueError("gammas list is empty")
+    return [row | {"method_or_gamma": f"{gamma:.1f}"}
+            for gamma in gammas
+            for row in method_comparison(spec, None, quantiles, alpha, s, gamma, mc, ("m2",))]
 
 
 @dataclass(frozen=True)
@@ -188,7 +175,6 @@ def coverage_audit(procedure, spec, alpha=0.1, transform=None, mc=DEFAULT_MC,
     """
     transform = transform or RankTransform.wilcoxon()
     R = spec.replications
-    ks = _quantile_ks(spec.n, quantiles)
     betas = tuple(quantiles)
 
     if procedure == "finite-population":
@@ -229,6 +215,7 @@ def coverage_audit(procedure, spec, alpha=0.1, transform=None, mc=DEFAULT_MC,
             return _covers_sorted(fam, tau)
 
     elif procedure == "single-quantile":
+        ks = _quantile_ks(spec.n, quantiles)
         k_mid = ks[len(ks) // 2]
 
         def one_rep(r):
@@ -237,6 +224,8 @@ def coverage_audit(procedure, spec, alpha=0.1, transform=None, mc=DEFAULT_MC,
             return res.interval.contains(np.sort(tau)[k_mid - 1])
 
     elif procedure == "multi-quantile":
+        ks = _quantile_ks(spec.n, quantiles)
+
         def one_rep(r):
             data, tau = generate(spec, r)
             fam = simultaneous_cis(data, transform, ks, alpha, gamma, mc)

@@ -211,6 +211,9 @@ def combine_treated_control(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
     identical), pools the n one-sided intervals by inclusion, and assigns
     the k-th largest lower bound to the k-th sorted effect.
     """
+    if not 0.0 < alpha < 0.5:
+        raise ValueError("alpha must be in (0, 0.5): each orientation runs at alpha, "
+                         "so the pooled level is 1 - 2*alpha")
     fam_t = prediction_intervals_treated(data, transforms, alpha, dist, mc)
     switched = switch_labels_negate(data)
     fam_c = prediction_intervals_treated(switched, transforms, alpha, None, mc)
@@ -342,6 +345,8 @@ def sensitivity_curve(data, transforms, alpha, gammas, mode="pairs", mc=DEFAULT_
     """Interval families across a Gamma grid plus, per quantile, the largest
     Gamma whose interval still excludes zero."""
     gammas = tuple(sorted(float(g) for g in gammas))
+    if not gammas:
+        raise ValueError("the Gamma grid is empty")
     profiles = _ProfileCache(data, transforms)
     families = tuple(
         sensitivity_intervals(data, transforms, alpha, g, mode, mc, profiles)

@@ -279,7 +279,7 @@ def choose_kprime_single(n, n_t, k, alpha, gamma):
     return n_t - hypergeom_quantile(n, n - k, n_t, 1.0 - gamma * alpha)
 
 
-def choose_kprime_multi(N, n, ks, alpha, gamma, mc=DEFAULT_MC, kind="finite", betas=None):
+def choose_kprime_multi(N, n, ks, alpha, gamma, kind="finite", betas=None):
     """Joint threshold choice for several targets.
 
     Scales the per-target budget by a common factor kappa in [1/J, 1]: at
@@ -287,8 +287,7 @@ def choose_kprime_multi(N, n, ks, alpha, gamma, mc=DEFAULT_MC, kind="finite", be
     kappa*gamma*alpha.  Keeps the largest kappa on a 1e-3 grid whose exact
     joint correction stays within gamma*alpha; if none does, keeps the
     smallest (the Bonferroni floor).  Every distinct k' tuple on the grid is
-    evaluated in one pass of the running-total recursion.  ``mc`` is
-    accepted and ignored.
+    evaluated in one pass of the running-total recursion.
 
     kind "finite" uses hypergeometric thresholds against population
     indices ks; kind "multinomial" uses binomial thresholds against

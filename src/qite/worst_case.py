@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .model import NEG_INF
-from .engine import per_stratum_transforms, statistic
+from .engine import per_stratum_transforms, statistic, stratified_statistic
 
 
 def _largest_treated_first(z, y, c):
@@ -299,10 +299,6 @@ def brute_force_min(data, transforms, scope, k, c, tie_shift=0, max_configs=300_
     if total > max_configs:
         raise ValueError(f"{total} configurations exceed oracle budget {max_configs}")
 
-    stratified = data.strata is not None
-    if stratified:
-        transforms = per_stratum_transforms(data, transforms)
-        members = data.stratum_members()
     shift = _shift_vector(z, tie_shift)
     best = np.inf
     base = np.where(z == 1, data.y - c, data.y)
@@ -312,13 +308,7 @@ def brute_force_min(data, transforms, scope, k, c, tie_shift=0, max_configs=300_
             idx = np.fromiter(subset, dtype=np.int64, count=j)
             if j:
                 out[idx[z[idx] == 1]] = NEG_INF   # +inf effect on a control is inert
-            if stratified:
-                val = 0.0
-                for mem, tr in zip(members, transforms):
-                    sh = None if shift is None else shift[mem]
-                    val += statistic(z[mem], out[mem], tr, sh)
-            else:
-                val = statistic(z, out, transforms, shift)
+            val = stratified_statistic(data, transforms, out, shift)
             if val < best:
                 best = val
     return float(best)

@@ -2,9 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qite.cli
 from qite.cli import main
@@ -127,6 +131,33 @@ class TestQuantileCi:
         res = pvalue_all(data, s3, 6, 0.5, mc=mc)
         assert (out["p_value"], out["statistic_min"]) == (res.value, res.statistic_min)
 
+    @pytest.mark.parametrize("alpha", ["0.5", "0.7"])
+    def test_m1_alpha_from_half_is_flag_error(self, toy_csv, tmp_path, capsys, alpha):
+        code, prefix = run_cli(
+            ["quantile-ci", "--data", toy_csv, "--method", "m1", "--all", "--alpha", alpha,
+             "--mc-draws", "2000"], tmp_path)
+        assert code == 3
+        assert "alpha must be in (0, 0.5)" in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".json")
+
+    @pytest.mark.parametrize("method", ["m0", "m1", "m2"])
+    def test_empty_quantile_list_is_flag_error(self, toy_csv, tmp_path, capsys, method):
+        code, prefix = run_cli(
+            ["quantile-ci", "--data", toy_csv, "--method", method, "--quantiles", "",
+             "--mc-draws", "2000"], tmp_path)
+        assert code == 3
+        assert "--quantiles needs at least one level" in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".json")
+
+    def test_outcome_beyond_bound_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "huge.csv"
+        p.write_text("z,y\n1,1e308\n0,-1e308\n1,0\n0,1\n")
+        code, prefix = run_cli(["quantile-ci", "--data", str(p), "--method", "m1",
+                                "--all", "--mc-draws", "2000"], tmp_path)
+        assert code == 2
+        assert "outcomes must lie within" in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".json")
+
     def test_schema_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("z,y\n1,1.0\n1,2.0\n")   # no controls
@@ -205,7 +236,17 @@ class TestTestCmd:
         out = json.loads(open(prefix + ".json").read())
         assert out["method"] == "stratified"
 
-    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_corrected_with_treated_scope_is_flag_error(self, toy_csv, tmp_path, capsys):
+        # the corrected p-value is for a hypothesis about all units
+        code, prefix = run_cli(
+            ["test", "--data", toy_csv, "--k", "6", "--c", "0", "--method", "corrected",
+             "--scope", "treated", "--mc-draws", "2000"], tmp_path)
+        assert code == 3
+        assert "--scope treated" in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".json")
+
+    # past twice the outcome bound, y - c would overflow
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "1.7e308", "-1e308"])
     def test_non_finite_threshold_is_flag_error(self, toy_csv, tmp_path, capsys, c):
         code, prefix = run_cli(
             ["test", "--data", toy_csv, "--k", "n", f"--c={c}", "--mc-draws", "2000"],
@@ -381,6 +422,15 @@ class TestSimulateCmd:
         assert "replications must be at least 1" in err and len(err.splitlines()) == 1
         assert not os.path.exists(prefix + ".json")
 
+    @pytest.mark.parametrize("study", ["method-comparison", "gamma", "coverage"])
+    def test_single_unit_is_flag_error(self, tmp_path, capsys, study):
+        code, prefix = run_cli(
+            ["simulate", "--study", study, "--n", "1", "--replications", "2",
+             "--mc-draws", "2000"], tmp_path)
+        assert code == 3
+        assert "n must be at least 2" in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".json")
+
     @pytest.mark.parametrize("study, rho2, message", [
         ("gamma", "0.1,0.5", "takes one --rho2 value"),
         ("coverage", "0.1,0.5", "takes one --rho2 value"),
@@ -402,7 +452,7 @@ class TestResourceLimits:
         ExactEnumerationError("C(40,20) = 137846528820 assignments exceed the exact cap"),
     ])
     def test_resource_errors_exit_5(self, toy_csv, tmp_path, monkeypatch, capsys, error):
-        def exhausted(args):
+        def exhausted(*args):
             raise error
 
         monkeypatch.setitem(qite.cli._COMMANDS, "test", exhausted)
@@ -476,3 +526,83 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# flag values at and beyond the edges of every documented range, mixed with
+# values inside them so that most calls get past validation
+EDGES = ["0", "0.5", "1", "nan", "inf", "-inf"]
+INNER = ["0.05", "0.1", "0.3"]
+EDGE_LISTS = ["", ",", "0", "1", "nan", "inf", "0.5,1", "1,2.5"]
+LEVELS = ["0.5", "0.25,0.5", "0.8,1"]
+OUTCOMES = [0.0, 0.5, 1.0, -1.0, 2.5, 3.5, -2.0, 4.0]
+EXTREME_OUTCOMES = [sys.float_info.max / 4, -sys.float_info.max / 4, 1e308, -1e308]
+
+
+@st.composite
+def tiny_csv(draw):
+    pairs = draw(st.booleans())   # matched pairs, one treated unit each
+    if pairs:
+        zs = [1, 0] * draw(st.integers(1, 3))
+    else:
+        zs = [1, 0] + draw(st.lists(st.sampled_from([0, 1]), max_size=4))
+    ys = draw(st.lists(st.sampled_from(OUTCOMES), min_size=len(zs), max_size=len(zs)))
+    if not draw(st.integers(0, 3)):
+        ys[draw(st.integers(0, len(ys) - 1))] = draw(st.sampled_from(EXTREME_OUTCOMES))
+    if pairs:
+        return "z,y,stratum\n" + "".join(
+            f"{z},{y!r},p{i // 2}\n" for i, (z, y) in enumerate(zip(zs, ys)))
+    return "z,y\n" + "".join(f"{z},{y!r}\n" for z, y in zip(zs, ys))
+
+
+@st.composite
+def cli_call(draw):
+    def edge(flag, inner=INNER, edges=EDGES):
+        values = inner if draw(st.integers(0, 3)) else edges
+        return f"--{flag}={draw(st.sampled_from(values))}"
+
+    edge_list = lambda flag, inner=LEVELS: edge(flag, inner, EDGE_LISTS)
+    pick = lambda *values: draw(st.sampled_from(values))
+    command = pick("quantile-ci", "test", "population-ci", "sensitivity", "simulate")
+    argv = [command, edge("alpha"), "--mc-draws=200"]
+    if command == "quantile-ci":
+        argv += [f"--method={pick('m0', 'm1', 'm2')}", edge("gamma"),
+                 pick("--all", edge_list("quantiles")), *pick((), ("--band",))]
+    elif command == "test":
+        argv += [f"--k={pick('0', '1', '2', 'n')}", edge("c", ["0", "-1.5", "2", "1.7e308"]),
+                 edge("gamma"), f"--scope={pick('all', 'treated')}",
+                 f"--method={pick('original', 'corrected')}"]
+    elif command == "population-ci":
+        argv += [pick("--superpopulation", "--population-size=6", "--population-size=40"),
+                 edge_list("betas"), edge("split-gamma"),
+                 f"--units={pick('all', 'treated', 'control')}"]
+    elif command == "sensitivity":
+        argv += [edge_list("gamma-grid", ["1", "1,2.5"]), f"--mode={pick('pairs', 'gaussian')}"]
+    else:
+        argv += [f"--study={pick('method-comparison', 'gamma', 'coverage')}",
+                 f"--n={draw(st.integers(0, 5))}", "--replications=1", "--s=2",
+                 edge("gamma"), edge_list("quantiles"),
+                 *pick((), (edge_list("gamma-grid", INNER),))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(csv_text=tiny_csv(), argv=cli_call())
+def test_edge_flags_exit_cleanly(csv_text, argv):
+    """Every call exits with a documented code, raises no RuntimeWarning, and
+    on success reports confidence levels inside (0, 1)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] != "simulate":
+            with open(os.path.join(tmp, "data.csv"), "w") as fh:
+                fh.write(csv_text)
+            argv = argv + ["--data", os.path.join(tmp, "data.csv")]
+        prefix = os.path.join(tmp, "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv + ["--output", prefix])
+        assert code in (0, 2, 3, 5)
+        if code == 0:
+            with open(prefix + ".json") as fh:
+                payload = json.load(fh)
+            families = payload["families"].values() if "families" in payload else [payload]
+            levels = [fam["level"] for fam in families if "level" in fam]
+            assert all(0.0 < level < 1.0 for level in levels), levels

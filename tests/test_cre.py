@@ -142,6 +142,14 @@ class TestCombine:
         assert len(fam.entries) == d.n
         assert fam.is_nested()
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, -0.1, float("nan")])
+    def test_alpha_outside_half_interval_rejected(self, alpha):
+        # each orientation runs at alpha, so the pooled level is 1 - 2*alpha:
+        # alpha = 0.7 used to give a family at level -0.4
+        d = ExperimentData.from_arrays([1, 1, 0, 0], [3.0, 4.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 0.5\)"):
+            combine_treated_control(d, W, alpha)
+
     def test_label_switch_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +40,15 @@ class TestLoadExperiment:
     def test_non_numeric_y(self):
         with pytest.raises(DataError):
             load_experiment("z,y\n1,abc\n0,1.0")
+
+    def test_outcome_bound(self):
+        # every outcome minus a gap between two others stays finite
+        bound = sys.float_info.max / 4
+        d = load_experiment(f"z,y\n1,{bound!r}\n0,{-bound!r}\n1,{-bound!r}\n0,{bound!r}")
+        assert np.all(np.isfinite(d.y[:, None] - (d.y[:, None] - d.y[None, :]).ravel()))
+        for y in (np.nextafter(bound, np.inf), -1e308):
+            with pytest.raises(DataError, match="outcomes must lie within"):
+                ExperimentData.from_arrays([1, 0], [y, 0.0])
 
     def test_stratum_all_treated(self):
         with pytest.raises(DataError):

@@ -43,6 +43,18 @@ class TestGenerate:
             DgpSpec(n=10, rho2=1.5)
 
 
+    @pytest.mark.parametrize("n, fraction", [
+        (1, 0.5), (0, 0.5), (4, 0.1), (4, 0.9), (3, 0.0), (4, math.nan), (4, math.inf),
+    ])
+    def test_design_needs_both_groups(self, n, fraction):
+        with pytest.raises(ValueError):
+            DgpSpec(n=n, treat_fraction=fraction)
+
+    def test_smallest_design(self):
+        data, tau = generate(DgpSpec(n=2, replications=1))
+        assert (data.n_t, data.n_c, tau.size) == (1, 1, 2)
+
+
 class TestStudies:
     def test_method_comparison_rows_schema(self):
         spec = DgpSpec(n=40, rho2=0.5, replications=6, seed=5)
@@ -92,6 +104,17 @@ class TestStudies:
         a = method_comparison(spec, quantiles=(0.8,), s=2, mc=MC, methods=("m1",))
         b = method_comparison(spec, quantiles=(0.8,), s=2, mc=MC, methods=("m1",))
         assert a == b
+
+    @pytest.mark.parametrize("quantiles", [(), (0.0,), (0.5, math.inf), (math.nan,)])
+    def test_quantile_levels_validated(self, quantiles):
+        spec = DgpSpec(n=10, replications=1)
+        for study in (method_comparison, gamma_study):
+            with pytest.raises(ValueError, match="quantile levels must be"):
+                study(spec, quantiles=quantiles, mc=MC)
+
+    def test_empty_gamma_grid_rejected(self):
+        with pytest.raises(ValueError, match="gammas list is empty"):
+            gamma_study(DgpSpec(n=10, replications=1), gammas=(), mc=MC)
 
     def test_csv_emission(self, tmp_path):
         rows = [{"rho2": 0.5, "quantile_pct": 50, "method_or_gamma": "m0",

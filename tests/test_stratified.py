@@ -296,6 +296,10 @@ class TestPvalueSensitivity:
 
 
 class TestSensitivityCurve:
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="Gamma grid is empty"):
+            sensitivity_curve(pairs_data(), W, 0.2, [], mode="pairs")
+
     def test_gamma_grid_one_reduces_to_scre_intervals(self):
         d = pairs_data(15, S=5)
         curve = sensitivity_curve(d, W, 0.2, [1.0], mode="pairs")

@@ -210,12 +210,12 @@ class TestChooseKprime:
         assert kp == n_t - hypergeom_quantile(n, n - k, n_t, 1 - 0.05)
 
     def test_multi_j1_kappa_is_one(self):
-        spec = choose_kprime_multi(20, 8, [12], 0.1, 0.5, MC)
+        spec = choose_kprime_multi(20, 8, [12], 0.1, 0.5)
         assert spec.kappa == 1.0
         assert spec.k_primes == (choose_kprime_single(20, 8, 12, 0.1, 0.5),)
 
     def test_multi_correction_within_budget(self):
-        spec = choose_kprime_multi(60, 30, [30, 42, 54], 0.1, 0.5, MC)
+        spec = choose_kprime_multi(60, 30, [30, 42, 54], 0.1, 0.5)
         assert spec.correction <= 0.05
         assert 1 / 3 <= spec.kappa <= 1.0
         assert all(0 <= kp <= 30 for kp in spec.k_primes)
@@ -249,7 +249,7 @@ class TestChooseKprime:
         assert abs(spec.correction - corrs[i]) <= 1e-15
 
     def test_multinomial_kind(self):
-        spec = choose_kprime_multi(0, 40, None, 0.1, 0.5, MC,
+        spec = choose_kprime_multi(0, 40, None, 0.1, 0.5,
                                    kind="multinomial", betas=[0.5, 0.8])
         assert spec.correction <= 0.05
         assert len(spec.k_primes) == 2
@@ -277,7 +277,7 @@ class TestChooseKprime:
         # exact correction is 0.0501
         ks = [math.ceil(5000 * b) for b in (0.5, 0.6, 0.7, 0.8, 0.9)]
         assert delta_h([6, 8, 10, 12, 15], 5000, 20, ks) > 0.05
-        spec = choose_kprime_multi(5000, 20, ks, 0.1, 0.5, MC)
+        spec = choose_kprime_multi(5000, 20, ks, 0.1, 0.5)
         assert spec.correction <= 0.05
         assert spec.k_primes == (6, 7, 10, 12, 15)
 
