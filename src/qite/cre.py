@@ -19,8 +19,11 @@ from .model import (
     DEFAULT_MC, IntervalFamily, OneSidedInterval, QuantileHypothesis, UNINFORMATIVE,
     switch_labels_negate,
 )
-from .engine import null_for
-from .stratified import PValueResult, _ProfileCache, _invert_treated_family, jump_grid, pvalue
+from .engine import null_for, survival
+from .stratified import (
+    PValueResult, _ProfileCache, _check_threshold, _invert_treated_family, jump_grid, pvalue,
+)
+from .worst_case import min_stat_scre_profile
 from .tails import choose_kprime_multi, choose_kprime_single, hypergeom_sf
 
 DEFAULT_GAMMA = 0.5
@@ -109,15 +112,20 @@ def ci_count(data, transform, c, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFAU
 
     Returns the contiguous hull from n downward; the correction makes the
     scanned p-value only near-monotone in k, so the hull is conservative
-    whenever an interior gap occurs.
+    whenever an interior gap occurs.  Every k is tested at the same c, so
+    one profile serves the whole scan: ``corrected_pvalue`` at k reads its
+    entry n_t - k'.
     """
     _require_complete(data)
+    _check_threshold(c)
     n, n_t = data.n, data.n_t
     dist = _resolve_null(data, transform, dist, mc)
+    profile = min_stat_scre_profile(data, transform, c)
     k_max = -1
     for k in range(0, n + 1):
         kp = choose_kprime_single(n, n_t, k, alpha, gamma)
-        p = corrected_pvalue(data, transform, k, c, kp, dist, mc).value
+        base = survival(dist, float(profile[n_t - kp]))
+        p = min(1.0, base + hypergeom_sf(n, n - k, n_t, n_t - kp))
         if p > alpha:
             k_max = k
     return (n - k_max if k_max >= 0 else 0, n)

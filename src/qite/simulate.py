@@ -142,9 +142,16 @@ def gamma_study(spec, gammas=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
     fraction gamma: the m2 rows of ``method_comparison`` per gamma."""
     if not gammas:
         raise ValueError("gammas list is empty")
-    return [row | {"method_or_gamma": f"{gamma:.1f}"}
+    return [row | {"method_or_gamma": _gamma_label(gamma)}
             for gamma in gammas
             for row in method_comparison(spec, None, quantiles, alpha, s, gamma, mc, ("m2",))]
+
+
+def _gamma_label(gamma):
+    """One decimal ("0.5") when that reads back as gamma, else the shortest
+    text that does, so distinct gammas never share a label."""
+    label = f"{gamma:.1f}"
+    return label if float(label) == gamma else repr(float(gamma))
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,14 @@ from functools import cached_property
 import numpy as np
 
 from .model import (
-    DEFAULT_MC, NEG_INF, DataError, IntervalFamily, OneSidedInterval,
+    DEFAULT_MC, MAX_ABS_OUTCOME, NEG_INF, DataError, IntervalFamily, OneSidedInterval,
     QuantileHypothesis, UNINFORMATIVE, pool_one_sided, rng_for, switch_labels_negate,
 )
 from .engine import (
     EXACT_CAP_DEFAULT, ExactEnumerationError, NullDistribution, _mc_null, _uniform_rows,
     convolve_discrete, discrete_null, null_for, per_stratum_transforms, survival,
 )
-from .worst_case import min_stat_scre, min_stat_scre_profile
+from .worst_case import _one_stratum_entries, min_stat_scre, min_stat_scre_profile
 
 _TAG_SENS = 31
 
@@ -64,14 +64,23 @@ def _require_matched(data, pairs_only=False):
             raise DataError("pairs mode requires every matched set to have size 2")
 
 
+def _check_threshold(c):
+    """Reject a nan threshold, or a finite one beyond twice
+    ``MAX_ABS_OUTCOME``, where y - c could overflow."""
+    if not (abs(c) <= 2 * MAX_ABS_OUTCOME or abs(c) == math.inf):   # also rejects nan
+        raise ValueError(f"c must be +-inf or within +-{2 * MAX_ABS_OUTCOME:.6g}, got {c!r}")
+
+
 def pvalue(data, transforms, k, c, dist=None, mc=DEFAULT_MC, scope="all", tie_shift=0):
     """Worst-case randomization p-value for: at most n-k effects exceed c
     (scope "all"), or at most n_t-k treated effects exceed c (scope
     "treated").
 
     The treated-scope p-value equals the all-units one at index n_c + k:
-    the two composite nulls share the same worst-case configuration.
+    the two composite nulls share the same worst-case configuration.  The
+    threshold c must pass ``_check_threshold``.
     """
+    _check_threshold(c)
     if scope == "treated":
         if not 0 <= k <= data.n_t:
             raise ValueError(f"k must be in [0, {data.n_t}]")
@@ -159,6 +168,21 @@ def _invert_treated_family(profiles, dist, alpha, ks):
     """One-sided 1-alpha lower bounds for the k-th sorted treated effects,
     for ascending ks, by inverting the profile p-values over the jump grid.
 
+    Several ks of a one-stratum design with a discrete null are inverted
+    at once (``_invert_all_k``).  Other designs, the gaussian null and a
+    single k search one k at a time (``_invert_each_k``): one k gains
+    nothing from rounds of array operations, and repeated one-k calls on
+    one profile cache share its memoized profiles.  Both paths give the
+    same intervals.
+    """
+    if len(ks) > 1 and profiles.data.n_strata == 1 and dist.kind == "discrete":
+        return _invert_all_k(profiles, dist, alpha, ks)
+    return _invert_each_k(profiles, dist, alpha, ks)
+
+
+def _invert_each_k(profiles, dist, alpha, ks):
+    """``_invert_treated_family`` by one ``invert_lower_bound`` per k.
+
     Bounds are nondecreasing in k, so each search starts at the grid point
     where the previous one ended, unless that bound was -inf.
     """
@@ -172,6 +196,80 @@ def _invert_treated_family(profiles, dist, alpha, ks):
         if not interval.informative:
             lo = 0   # -inf bound: later ks may still start anywhere
         intervals.append(interval)
+    return intervals
+
+
+def _invert_all_k(profiles, dist, alpha, ks):
+    """The intervals of ``_invert_each_k``, from one bisection over every k
+    in rounds of array operations.
+
+    Conditions: one stratum, a discrete null, ascending ks and
+    nondecreasing scores (``RankTransform`` enforces the last).
+
+    Each round probes the midpoint of every open k at tie_shift -1: entry
+    n_t - k of the profile at that grid point, by ``_one_stratum_entries``,
+    then the survival lookup of ``NullDistribution.survival``.  The first
+    grid index whose p-value exceeds alpha is nondecreasing in k, so after
+    each round the bounds tighten across k: a running maximum of ``lo`` and
+    a reverse running minimum of ``hi``.  The -inf guard (tie_shift +1) and
+    the closedness (tie_shift 0) are read where the per-k loop reads them:
+    the guard at grid[0] for the first k and after a -inf bound, otherwise
+    at the previous k's index; the closedness by ``profiles(c, 0)``, whose
+    ties fall back to position.
+
+    Why the intervals are bit-identical.  At a fixed tie_shift the p-value
+    does not decrease as c increases, even in floating point: each
+    fl(y - c) falls weakly as c rises, so each rank and each gathered score
+    falls weakly, and a fixed-order sum of smaller terms is no larger.  In
+    k, the score indices of entry m are elementwise at least those of entry
+    m + 1, so the p-value does not increase with k.  Hence each
+    warm-started search of the loop returns the first index at which its
+    predicate holds (or the last grid index), which is the index this
+    search finds from 0.  Float ties break monotonicity only between
+    tie_shifts, and each tie_shift is read here exactly where the loop
+    reads it.
+    """
+    data, grid = profiles.data, profiles.grid
+    ks = np.fromiter(ks, dtype=np.intp)
+    if grid.size == 0:
+        return [OneSidedInterval(NEG_INF, False)] * ks.size
+    yt = np.sort(data.y[data.z == 1])
+    yc = np.sort(data.y[data.z == 0])
+    phi = profiles.transforms[0].scores(data.n)
+    slots = data.n_t - ks
+    tail = np.append(dist.tail, 0.0)   # the survival function is 0 past the support
+
+    def above(i, m, tie_shift):
+        t = _one_stratum_entries(yt, yc, phi, grid[i], m, tie_shift)
+        return tail[np.searchsorted(dist.support, t, "left")] > alpha
+
+    lo = np.zeros(ks.size, dtype=np.intp)
+    hi = np.full(ks.size, grid.size - 1, dtype=np.intp)
+    while True:
+        todo = np.flatnonzero(lo < hi)
+        if todo.size == 0:
+            break
+        mid = (lo[todo] + hi[todo]) // 2
+        hit = above(mid, slots[todo], -1)
+        hi[todo[hit]] = mid[hit]
+        lo[todo[~hit]] = mid[~hit] + 1
+        np.maximum.accumulate(lo, out=lo)
+        hi = np.minimum.accumulate(hi[::-1])[::-1]
+
+    at_first = above(np.zeros_like(lo), slots, +1)
+    at_prev = above(lo[:-1], slots[1:], +1)
+    intervals = []
+    start = 0
+    for j in range(ks.size):
+        guard = at_first[j] if start == 0 else at_prev[j - 1]
+        if guard:
+            intervals.append(OneSidedInterval(NEG_INF, False))
+            start = 0
+        else:
+            c = grid[lo[j]]
+            closed = survival(dist, float(profiles(c, 0)[int(slots[j])])) > alpha
+            intervals.append(OneSidedInterval(float(c), closed))
+            start = lo[j]
     return intervals
 
 

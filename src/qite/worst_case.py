@@ -116,14 +116,55 @@ def _cost_table(R, phi):
     """
     n_st = R.size
     f = np.empty(n_st + 1)
-    cols = np.arange(n_st)
     rows = max(1, _COST_BLOCK // max(n_st, 1))
     for a in range(0, n_st + 1, rows):
         m = np.arange(a, min(a + rows, n_st + 1))[:, None]
-        kept = cols - m
-        idx = np.where(kept < 0, cols, R[np.maximum(kept, 0)] + m - 1)
-        f[a:a + m.shape[0]] = phi[idx].sum(axis=1)
+        f[a:a + m.shape[0]] = phi[_entry_indices(R, m)].sum(axis=1)
     return f
+
+
+def _entry_indices(R, m):
+    """Score indices (rank - 1) of cost-table rows m, each ascending.
+
+    R holds the ascending treated ranks at m = 0, one vector shared by
+    every row or one row each; m is a column of slot counts (or a scalar
+    for one row).  Row m is 0..m-1, the evicted units, followed by
+    R_p + m - 1 for the kept units p < n_t - m.
+    """
+    cols = np.arange(R.shape[-1])
+    kept = cols - m
+    at = np.maximum(kept, 0)
+    shifted = R[at] if R.ndim == 1 else R[np.arange(R.shape[0])[:, None], at]
+    return np.where(kept < 0, cols, shifted + m - 1)
+
+
+def _one_stratum_entries(yt, yc, phi, c, m, tie_shift):
+    """Entry m[b] of the one-stratum profile at threshold c[b], for every
+    b, at tie_shift -1 or +1; yt and yc are the sorted treated and control
+    outcomes and phi the scores.
+
+    Row b of ``yt - c[b]`` is the subtraction ``_treated_ranks`` makes,
+    and it stays sorted because rounding is monotone.  So the rank of
+    treated unit p is p + 1 plus the number of controls below its imputed
+    outcome: strictly below at tie_shift -1 (the treated unit ranks first
+    on a tie), at or below at +1.  Tie_shift 0 breaks ties by position
+    and is not served here.  Entries are gathered and summed as the rows
+    of ``_cost_table``, so they are bit-identical to ``_OneStratumProfile``
+    for any score table, in blocks of at most ``_COST_BLOCK`` indices.
+    """
+    side = {-1: "left", +1: "right"}[tie_shift]
+    n_t = yt.size
+    ranks = np.arange(1, n_t + 1)
+    out = np.empty(c.size)
+    rows = max(1, _COST_BLOCK // n_t)
+    for a in range(0, c.size, rows):
+        b = slice(a, a + rows)
+        cb = c[b]
+        # consecutive equal thresholds share one ranking
+        new = np.concatenate(([True], cb[1:] != cb[:-1]))
+        R = ranks + np.searchsorted(yc, yt - cb[new, None], side)
+        out[b] = phi[_entry_indices(R[np.cumsum(new) - 1], m[b, None])].sum(axis=1)
+    return out
 
 
 def _cost_tables(data, R, transforms):
@@ -176,7 +217,7 @@ class _OneStratumProfile:
         n_t = self._R.size
         if not 0 <= m <= n_t:
             raise IndexError(f"profile entry {m} outside [0, {n_t}]")
-        return self._phi[np.concatenate((np.arange(m), self._R[:n_t - m] + (m - 1)))].sum()
+        return self._phi[_entry_indices(self._R, m)].sum()
 
 
 def min_stat_scre_profile(data, transforms, c, tie_shift=0):

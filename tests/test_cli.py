@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import qite.cli
 from qite.cli import main
 from qite.engine import ExactEnumerationError
+from qite.model import IntervalFamily
 
 TOY = "z,y\n1,5.0\n1,4.0\n0,1.0\n0,2.0\n1,3.5\n0,0.5\n1,2.5\n0,3.0\n"
 TOY_STRATA = (
@@ -588,21 +589,33 @@ def cli_call(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(csv_text=tiny_csv(), argv=cli_call())
 def test_edge_flags_exit_cleanly(csv_text, argv):
-    """Every call exits with a documented code, raises no RuntimeWarning, and
-    on success reports confidence levels inside (0, 1)."""
+    """Every call exits with a documented code and raises no RuntimeWarning.
+    On success it reports confidence levels inside (0, 1) and nested
+    families, writes JSON without NaN, and a rerun writes the same bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         if argv[0] != "simulate":
             with open(os.path.join(tmp, "data.csv"), "w") as fh:
                 fh.write(csv_text)
             argv = argv + ["--data", os.path.join(tmp, "data.csv")]
-        prefix = os.path.join(tmp, "out")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(argv + ["--output", prefix])
+
+        def run(name):
+            prefix = os.path.join(tmp, name)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv + ["--output", prefix])
+            return code, prefix
+
+        code, prefix = run("out")
         assert code in (0, 2, 3, 5)
         if code == 0:
             with open(prefix + ".json") as fh:
-                payload = json.load(fh)
+                text = fh.read()
+            payload = json.loads(text, parse_constant=lambda name: pytest.fail(name))
             families = payload["families"].values() if "families" in payload else [payload]
-            levels = [fam["level"] for fam in families if "level" in fam]
-            assert all(0.0 < level < 1.0 for level in levels), levels
+            families = [fam for fam in families if "level" in fam]
+            assert all(0.0 < fam["level"] < 1.0 for fam in families)
+            for fam in families:
+                assert IntervalFamily.from_dict(fam).is_nested(), fam["entries"]
+            _, again = run("again")
+            with open(again + ".json") as fh:
+                assert fh.read() == text

@@ -11,6 +11,7 @@ from qite.cre import jump_grid
 from qite.model import NEG_INF, OneSidedInterval
 from qite.tails import choose_kprime_single
 from qite.worst_case import brute_force_min
+from qite import cre, worst_case
 
 from conftest import random_cre, teacher_shaped
 
@@ -275,6 +276,40 @@ class TestCiCount:
                     members.add(d.n - k)
             assert lo == min(members) and hi == max(members)
             assert members == set(range(lo, hi + 1))
+
+    def test_one_profile_serves_every_k(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        cases = []
+        for _ in range(8):
+            d = random_cre(rng, n_max=9)
+            dist = null_for(d, W)
+            c = float(rng.integers(-1, 3))
+            members = [d.n - k for k in range(0, d.n + 1)
+                       if corrected_pvalue(d, W, k, c, choose_kprime_single(
+                           d.n, d.n_t, k, 0.2, 0.5), dist).value > 0.2]
+            cases.append((d, dist, c, (min(members), d.n) if members else (0, d.n)))
+        calls = []
+
+        def counting(original):
+            def profile(*args):
+                calls.append(args)
+                return original(*args)
+            return profile
+
+        # the name ci_count calls, and the one the per-k scan reaches
+        for module in (cre, worst_case):
+            monkeypatch.setattr(module, "min_stat_scre_profile",
+                                counting(module.min_stat_scre_profile))
+        for d, dist, c, want in cases:
+            calls.clear()
+            assert ci_count(d, W, c, 0.2, 0.5, dist) == want
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("c", [np.nan, 1.7e308])
+    def test_threshold_beyond_outcome_bound_rejected(self, c):
+        d = ExperimentData.from_arrays([1, 1, 0, 0], [3.0, 4.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="c must be"):
+            ci_count(d, W, c, 0.2, 0.5)
 
 
 class TestSimultaneous:

@@ -99,6 +99,15 @@ class TestStudies:
             assert [r | {"method_or_gamma": label} for r in m2] == [
                 r for r in rows if r["method_or_gamma"] == label]
 
+    def test_gamma_labels_tell_every_gamma_apart(self):
+        spec = DgpSpec(n=12, rho2=0.5, replications=1, seed=3)
+        gammas = (0.0, 0.21, 0.24, 0.25, 0.5)
+        rows = gamma_study(spec, gammas=gammas, quantiles=(0.9,), alpha=0.2, s=2,
+                           mc=MonteCarloConfig(500, 2))
+        labels = [r["method_or_gamma"] for r in rows]
+        assert labels == ["0.0", "0.21", "0.24", "0.25", "0.5"]
+        assert [float(label) for label in labels] == list(gammas)
+
     def test_deterministic_rows(self):
         spec = DgpSpec(n=30, rho2=0.4, replications=5, seed=8)
         a = method_comparison(spec, quantiles=(0.8,), s=2, mc=MC, methods=("m1",))

@@ -3,17 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qite import (
     ExperimentData, MonteCarloConfig, RankTransform, combine_scre, intervals_scre,
     null_for, prediction_intervals_treated, pvalue_all, pvalue_scre,
     pvalue_sensitivity, sensitivity_curve, stratified_statistic, worst_case_tail,
 )
-from qite.model import NEG_INF, rng_for
-from qite import engine, stratified
+from qite.model import MAX_ABS_OUTCOME, NEG_INF, rng_for
+from qite import engine, stratified, worst_case
 from qite.stratified import sensitivity_intervals
 
-from conftest import random_cre, random_scre
+from conftest import random_cre, random_scre, teacher_shaped
 
 W = RankTransform.wilcoxon()
 MC = MonteCarloConfig(50_000, 17)
@@ -89,6 +91,133 @@ class TestPvalueScre:
             a = pvalue_scre(d, W, k, c, scope="treated").value
             b = pvalue_scre(d, W, d.n_c + k, c, scope="all").value
             assert a == b
+
+
+    @pytest.mark.parametrize("c", [math.nan, 2.0000001 * MAX_ABS_OUTCOME, -1.7e308])
+    def test_threshold_beyond_outcome_bound_rejected(self, c):
+        d = ExperimentData.from_arrays([1, 0, 1, 0], [MAX_ABS_OUTCOME, 0.0, 1.0, -2.0])
+        with pytest.raises(ValueError, match="c must be"):
+            stratified.pvalue(d, W, 1, c)
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, 2 * MAX_ABS_OUTCOME,
+                                   -2 * MAX_ABS_OUTCOME])
+    def test_threshold_at_outcome_bound_accepted(self, c):
+        # outcomes at the loader's bound minus the largest allowed threshold
+        # stay finite: no overflow warning (an error under the test settings)
+        d = ExperimentData.from_arrays([1, 0, 1, 0], [MAX_ABS_OUTCOME, -MAX_ABS_OUTCOME,
+                                                      -MAX_ABS_OUTCOME, 1.0])
+        assert 0.0 <= stratified.pvalue(d, W, 1, c).value <= 1.0
+
+
+# one-decimal outcomes put ulp-close points on the jump grid, such as
+# 0.3 - 0.1 = 0.19999999999999998 next to 0.2 - 0.0 = 0.2
+DECIMALS = [round(0.1 * i, 1) for i in range(-3, 8)]
+
+
+@st.composite
+def one_stratum_family(draw):
+    n_t = draw(st.integers(1, 7))
+    n_c = draw(st.integers(1, 7))
+    n = n_t + n_c
+    values = draw(st.sampled_from([list(range(5)), DECIMALS, [0.5]]))
+    y = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=float)
+    z = np.array([1] * n_t + [0] * n_c)
+    order = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["wilcoxon", "stephenson", "table"]))
+    if kind == "wilcoxon":
+        transform = RankTransform.wilcoxon()
+    elif kind == "stephenson":
+        transform = RankTransform.stephenson(draw(st.integers(2, 5)))
+    else:
+        transform = RankTransform.from_table(np.sqrt(np.arange(1.0, n + 1)) / 3.0)
+    data = ExperimentData.from_arrays(z[list(order)], y[list(order)])
+    if draw(st.booleans()):
+        ks = range(1, n_t + 1)
+    else:
+        ks = (draw(st.integers(1, n_t)),)
+    mode = draw(st.sampled_from(["exact", "mc"]))
+    alpha = draw(st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8]))
+    block = draw(st.sampled_from([1, 5, worst_case._COST_BLOCK]))
+    return data, transform, ks, mode, alpha, block
+
+
+class TestInvertAllK:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=one_stratum_family())
+    def test_bit_identical_to_per_k_loop(self, case):
+        data, transform, ks, mode, alpha, block = case
+        dist = null_for(data, transform, mode=mode, mc=MonteCarloConfig(300, 3))
+        want = stratified._invert_each_k(stratified._ProfileCache(data, transform),
+                                         dist, alpha, ks)
+        original = worst_case._COST_BLOCK
+        worst_case._COST_BLOCK = block   # several ranking blocks per round
+        try:
+            got = stratified._invert_all_k(
+                stratified._ProfileCache(data, transform), dist, alpha, ks)
+        finally:
+            worst_case._COST_BLOCK = original
+        assert [(iv.lower, iv.closed) for iv in got] == [(iv.lower, iv.closed) for iv in want]
+
+    @pytest.mark.parametrize("z, y, transform", [
+        ([1, 0, 1, 0, 0, 1, 0, 0], [0.4, -0.2, 0.4, -0.1, -0.1, 0.7, -0.3, 0.5], W),
+        ([1, 1, 0, 1, 1, 1, 1, 0], [0.7, 0.6, -0.2, -0.2, 0.1, -0.2, -0.2, 0.1],
+         RankTransform.stephenson(3)),
+        ([1, 0, 1, 1, 1, 1, 1, 1], [-0.1, 0.3, -0.1, -0.1, 0.6, 0.5, 0.7, -0.2], W),
+    ])
+    def test_guard_read_where_the_loop_reads_it(self, z, y, transform):
+        # float ties on these one-decimal grids make the -inf guard of some k
+        # depend on where it is read: at grid[0] after a -inf bound, else at
+        # the previous k's index.  Reading it anywhere else changes a family.
+        d = ExperimentData.from_arrays(z, y)
+        dist = null_for(d, transform)
+        ks = range(1, d.n_t + 1)
+        for alpha in (0.2, 0.5):
+            assert stratified._invert_treated_family(
+                stratified._ProfileCache(d, transform), dist, alpha, ks
+            ) == stratified._invert_each_k(
+                stratified._ProfileCache(d, transform), dist, alpha, ks)
+
+    def test_bit_identical_on_teacher_shaped_data(self):
+        d = teacher_shaped()
+        for transform in (W, RankTransform.stephenson(6)):
+            dist = null_for(d, transform, mc=MonteCarloConfig(5000, 8))
+            for alpha in (0.05, 0.2):
+                ks = range(1, d.n_t + 1)
+                assert stratified._invert_treated_family(
+                    stratified._ProfileCache(d, transform), dist, alpha, ks
+                ) == stratified._invert_each_k(
+                    stratified._ProfileCache(d, transform), dist, alpha, ks)
+
+    def test_fewer_profiles_than_per_k_loop(self, monkeypatch):
+        calls = []
+        original = stratified.min_stat_scre_profile
+
+        def counted(*args):
+            calls.append(args[2:])
+            return original(*args)
+
+        monkeypatch.setattr(stratified, "min_stat_scre_profile", counted)
+        d = teacher_shaped()
+        dist = null_for(d, W, mc=MonteCarloConfig(5000, 8))
+        ks = range(1, d.n_t + 1)
+        stratified._invert_each_k(stratified._ProfileCache(d, W), dist, 0.05, ks)
+        per_k = len(calls)
+        calls.clear()
+        stratified._invert_treated_family(stratified._ProfileCache(d, W), dist, 0.05, ks)
+        # only the closedness pass ranks one threshold at a time, at tie_shift 0
+        assert {side for _, side in calls} == {0}
+        assert 5 * len(calls) < per_k
+
+    def test_stratified_gaussian_and_single_k_keep_per_k_loop(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("batched path taken")
+
+        monkeypatch.setattr(stratified, "_invert_all_k", fail)
+        prediction_intervals_treated(random_scre(np.random.default_rng(3)), W, 0.2)
+        sensitivity_intervals(pairs_data(4, S=4), W, 0.2, 1.5, mode="gaussian")
+        d = teacher_shaped()
+        dist = null_for(d, W, mc=MonteCarloConfig(5000, 8))
+        stratified._invert_treated_family(stratified._ProfileCache(d, W), dist, 0.05, (40,))
 
 
 class TestIntervalsScre:

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from qite import ExperimentData, RankTransform, min_stat_cre, min_stat_scre, ranks
 from qite.cre import jump_grid, stratified_jump_grid
 from qite.worst_case import (
-    _cost_table, _cost_table_direct, _treated_ranks, best_allocation, brute_force_min,
-    enumerate_allocations_min, min_stat_scre_profile,
+    _cost_table, _cost_table_direct, _one_stratum_entries, _treated_ranks, best_allocation,
+    brute_force_min, enumerate_allocations_min, min_stat_scre_profile,
 )
 
 from conftest import random_cre, random_scre
@@ -371,6 +371,20 @@ class TestOneStratumProfile:
             assert float(prof[u]).hex() == float(direct[u]).hex()
         k = data.draw(st.integers(0, d.n))
         assert prof[min(d.n - k, d.n_t)] == brute_force_min(d, tr, "all", k, c, side)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=cre_designs(), data=st.data())
+    def test_batched_entries_equal_lazy_profile(self, case, data):
+        d, tr, c, _ = case
+        side = data.draw(st.sampled_from([-1, 1]))
+        # rows at several thresholds, equal ones often adjacent
+        cs = data.draw(st.lists(st.sampled_from([c, *jump_grid(d).tolist()]), min_size=1,
+                                max_size=6))
+        ms = data.draw(st.lists(st.integers(0, d.n_t), min_size=len(cs), max_size=len(cs)))
+        got = _one_stratum_entries(np.sort(d.y[d.z == 1]), np.sort(d.y[d.z == 0]),
+                                   tr.scores(d.n), np.array(cs), np.array(ms), side)
+        for t, c_b, m in zip(got, cs, ms):
+            assert float(t).hex() == float(min_stat_scre_profile(d, tr, c_b, side)[m]).hex()
 
     def test_single_label_takes_the_one_stratum_path(self):
         # one treated unit and one stratum label: the entries are exact
