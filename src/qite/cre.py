@@ -19,11 +19,11 @@ from .model import (
     DEFAULT_MC, IntervalFamily, OneSidedInterval, QuantileHypothesis, UNINFORMATIVE,
     switch_labels_negate,
 )
-from .engine import null_for, survival
+from .engine import null_for
 from .stratified import (
     PValueResult, _ProfileCache, _check_threshold, _invert_treated_family, jump_grid, pvalue,
 )
-from .worst_case import min_stat_scre_profile
+from .worst_case import _ProfileReader
 from .tails import choose_kprime_multi, choose_kprime_single, hypergeom_sf
 
 DEFAULT_GAMMA = 0.5
@@ -82,12 +82,6 @@ class SingleCi:
     warning: str | None = None
 
 
-def _invert_treated_at(profiles, k_prime, alpha_eff, dist):
-    if k_prime <= 0:
-        return UNINFORMATIVE
-    return _invert_treated_family(profiles, dist, alpha_eff, (k_prime,))[0]
-
-
 def ci_single(data, transform, k, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFAULT_MC):
     """1-alpha confidence interval for the k-th smallest effect among all
     units, spending at most gamma*alpha on the count correction."""
@@ -101,8 +95,11 @@ def ci_single(data, transform, k, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFA
     if alpha_eff <= 0.0:
         return SingleCi(UNINFORMATIVE, k, k_prime, corr, alpha_eff,
                         warning="correction consumed the error budget")
+    if k_prime <= 0:
+        return SingleCi(UNINFORMATIVE, k, k_prime, corr, alpha_eff)
     dist = _resolve_null(data, transform, dist, mc)
-    interval = _invert_treated_at(_ProfileCache(data, transform), k_prime, alpha_eff, dist)
+    interval, = _invert_treated_family(_ProfileCache(data, transform), dist, alpha_eff,
+                                       (k_prime,))
     return SingleCi(interval, k, k_prime, corr, alpha_eff)
 
 
@@ -113,18 +110,17 @@ def ci_count(data, transform, c, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFAU
     Returns the contiguous hull from n downward; the correction makes the
     scanned p-value only near-monotone in k, so the hull is conservative
     whenever an interior gap occurs.  Every k is tested at the same c, so
-    one profile serves the whole scan: ``corrected_pvalue`` at k reads its
-    entry n_t - k'.
+    one batch of profile entries serves the whole scan: ``corrected_pvalue``
+    at k reads entry n_t - k'.
     """
     _require_complete(data)
     _check_threshold(c)
     n, n_t = data.n, data.n_t
     dist = _resolve_null(data, transform, dist, mc)
-    profile = min_stat_scre_profile(data, transform, c)
+    k_primes = [choose_kprime_single(n, n_t, k, alpha, gamma) for k in range(n + 1)]
+    entries = _ProfileReader(data, transform).entries(c, [n_t - kp for kp in k_primes], 0)
     k_max = -1
-    for k in range(0, n + 1):
-        kp = choose_kprime_single(n, n_t, k, alpha, gamma)
-        base = survival(dist, float(profile[n_t - kp]))
+    for k, (kp, base) in enumerate(zip(k_primes, dist.survival(entries).tolist())):
         p = min(1.0, base + hypergeom_sf(n, n - k, n_t, n_t - kp))
         if p > alpha:
             k_max = k
@@ -165,9 +161,11 @@ def simultaneous_cis(data, transform, ks, alpha, gamma=DEFAULT_GAMMA, mc=DEFAULT
     if alpha_eff <= 0.0:
         return _budget_spent(ks, alpha, "sample-quantiles-all")
     dist = _resolve_null(data, transform, dist, mc)
-    profiles = _ProfileCache(data, transform)
-    entries = [(k, _invert_treated_at(profiles, kp, alpha_eff, dist))
-               for k, kp in zip(ks, spec.k_primes)]
+    # every k' shares alpha_eff, so one family inverts them all
+    k_primes = sorted({kp for kp in spec.k_primes if kp > 0})
+    found = dict(zip(k_primes, _invert_treated_family(_ProfileCache(data, transform), dist,
+                                                      alpha_eff, k_primes)))
+    entries = [(k, found.get(kp, UNINFORMATIVE)) for k, kp in zip(ks, spec.k_primes)]
     return IntervalFamily(tuple(entries), 1.0 - alpha, True, "sample-quantiles-all")
 
 

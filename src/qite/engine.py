@@ -106,21 +106,25 @@ class NullDistribution:
     sd: float = 0.0
 
     def survival(self, x):
-        """P(t >= x); equals 1 at -inf and 0 above an exact support.
+        """P(t >= x) at a number x, or elementwise at an array of them;
+        equals 1 at -inf and 0 above an exact support.
 
         Sampled nulls carry a pseudo-atom at +inf (add-one convention), so
-        their survival never reaches 0 at finite draw counts.
+        their survival never reaches 0 at finite draw counts.  Each array
+        element equals the scalar value bit for bit.
         """
-        if self.kind == "gaussian":
-            if x == float("-inf"):
-                return 1.0
+        if self.kind == "gaussian":   # erfc(-inf) = 2, so G(-inf) = 1
+            xs = np.ravel(x).tolist()
             if self.sd == 0.0:
-                return 1.0 if x <= self.mean else 0.0
-            return 0.5 * math.erfc((x - self.mean) / (self.sd * math.sqrt(2.0)))
-        i = int(np.searchsorted(self.support, x, side="left"))
-        if i >= self.tail.size:
-            return 0.0
-        return float(self.tail[i])
+                p = [1.0 if v <= self.mean else 0.0 for v in xs]
+            else:
+                scale = self.sd * math.sqrt(2.0)
+                p = [0.5 * math.erfc((v - self.mean) / scale) for v in xs]
+            return np.reshape(p, np.shape(x)) if np.ndim(x) else p[0]
+        i = np.searchsorted(self.support, x, side="left")
+        if np.ndim(i):
+            return np.where(i < self.tail.size, self.tail.take(i, mode="clip"), 0.0)
+        return float(self.tail[i]) if i < self.tail.size else 0.0
 
     def to_dict(self):
         d = {"kind": self.kind, "provenance": list(self.provenance), "design": list(self.design)}

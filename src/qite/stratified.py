@@ -8,11 +8,11 @@ statistic.  Intervals invert those p-values over the threshold c: the
 minimized statistic is a step function of c whose jumps lie on the
 within-stratum treated-minus-control outcome gaps, so inversion is a
 binary search over that grid with exact evaluation at each grid point and
-at its open limits.  One profile at a threshold gives the minimized
-statistic for every k at once, so an inversion memoizes profiles per
-threshold.  A profile depends only on the data and the threshold, not on
-the null, so a sensitivity curve shares one profile cache across its
-whole Gamma grid.
+at its open limits.  One bisection serves every k of a family at once,
+reading a batch of profile entries per round.  A stratified profile
+depends only on the data and the threshold, not on the null, so it is
+memoized per threshold, and a sensitivity curve shares one profile cache
+across its whole Gamma grid.
 
 Sensitivity analysis bounds the null survival function over all confounder
 configurations when within-set treatment odds differ by at most Gamma.
@@ -38,7 +38,7 @@ from .engine import (
     EXACT_CAP_DEFAULT, ExactEnumerationError, NullDistribution, _mc_null, _uniform_rows,
     convolve_discrete, discrete_null, null_for, per_stratum_transforms, survival,
 )
-from .worst_case import _one_stratum_entries, min_stat_scre, min_stat_scre_profile
+from .worst_case import _ProfileReader, min_stat_scre, min_stat_scre_profile
 
 _TAG_SENS = 31
 
@@ -142,13 +142,13 @@ def invert_lower_bound(pfun, grid, alpha, lo_start=0):
     return OneSidedInterval(float(grid[lo]), closed), lo
 
 
-class _ProfileCache:
-    """Memoized profiles per (threshold, side), plus the jump grid, for one
-    data set; shared by all k and, in a sensitivity curve, by every Gamma."""
+class _ProfileCache(_ProfileReader):
+    """Profile entries and the jump grid of one data set, stratified
+    profiles memoized per (threshold, side); shared by all k and, in a
+    sensitivity curve, by every Gamma."""
 
     def __init__(self, data, transforms):
-        self.data = data
-        self.transforms = per_stratum_transforms(data, transforms)
+        super().__init__(data, transforms)
         self._store = {}
 
     @cached_property
@@ -157,31 +157,78 @@ class _ProfileCache:
 
     def __call__(self, c, side):
         key = (float(c), side)
-        out = self._store.get(key)
-        if out is None:
-            out = min_stat_scre_profile(self.data, self.transforms, c, side)
-            self._store[key] = out
-        return out
+        if key not in self._store:
+            self._store[key] = min_stat_scre_profile(self.data, self.transforms, c, side)
+        return self._store[key]
 
 
 def _invert_treated_family(profiles, dist, alpha, ks):
     """One-sided 1-alpha lower bounds for the k-th sorted treated effects,
-    for ascending ks, by inverting the profile p-values over the jump grid.
+    for ascending ks: the intervals of ``_invert_each_k``, from one
+    bisection over the jump grid for every k in rounds of array operations.
 
-    Several ks of a one-stratum design with a discrete null are inverted
-    at once (``_invert_all_k``).  Other designs, the gaussian null and a
-    single k search one k at a time (``_invert_each_k``): one k gains
-    nothing from rounds of array operations, and repeated one-k calls on
-    one profile cache share its memoized profiles.  Both paths give the
-    same intervals.
+    Each round probes the midpoint of every open k at tie_shift -1: entry
+    n_t - k of the profile there, by ``profiles.entries``.  The first grid
+    index whose p-value exceeds alpha is nondecreasing in k, so each round
+    tightens the bounds across k: a running maximum of ``lo``, a reverse
+    running minimum of ``hi``.  The -inf guard (tie_shift +1) and the
+    closedness (tie_shift 0) are read where the per-k loop reads them: the
+    guard at grid[0] for the first k and after a -inf bound, else at the
+    previous k's index.
+
+    Why the intervals are bit-identical.  Scores are nondecreasing
+    (``RankTransform`` enforces it) and survival functions nonincreasing,
+    so at a fixed tie_shift the p-value does not decrease as c rises, nor
+    increase with k, even in floating point.  One stratum: each fl(y - c),
+    rank and gathered score falls weakly as c rises, a fixed-order sum of
+    smaller terms is no larger, and the score indices of entry m are
+    elementwise at least those of entry m + 1.  Strata: every cost-table
+    entry falls weakly in c, float + and min are monotone, so each
+    ``_allocation_dp`` stage does too, and the last is nonincreasing in the
+    slot count.  One treated unit per stratum: ``_profile_one_treated``'s
+    f0.sum() - cumsum(savings) is nonincreasing in the slot count (savings
+    are nonnegative), but in c it is a difference of two falling terms,
+    monotone only while both are exact: for integer-valued scores.  Other
+    score tables are outside the argument; randomized searches have found
+    no family they change.  So each warm-started search of the loop returns
+    the first index at which its predicate holds (or the last grid index),
+    which this search finds from 0.  Float ties break monotonicity only
+    between tie_shifts, and each tie_shift is read here exactly where the
+    loop reads it.
     """
-    if len(ks) > 1 and profiles.data.n_strata == 1 and dist.kind == "discrete":
-        return _invert_all_k(profiles, dist, alpha, ks)
-    return _invert_each_k(profiles, dist, alpha, ks)
+    grid = profiles.grid
+    ks = np.fromiter(ks, dtype=np.intp)
+    if grid.size == 0:
+        return [UNINFORMATIVE] * ks.size
+    slots = profiles.data.n_t - ks
+
+    def above(i, m, tie_shift):
+        return dist.survival(profiles.entries(grid[i], m, tie_shift)) > alpha
+
+    at_first = above(np.zeros_like(slots), slots, +1)
+    # a guard that holds at grid[0] holds at every index: bisect the other ks
+    lo = np.zeros(ks.size, dtype=np.intp)
+    hi = np.where(at_first, 0, grid.size - 1)
+    while (todo := np.flatnonzero(lo < hi)).size:
+        mid = (lo[todo] + hi[todo]) // 2
+        hit = above(mid, slots[todo], -1)
+        hi[todo[hit]] = mid[hit]
+        lo[todo[~hit]] = mid[~hit] + 1
+        np.maximum.accumulate(lo, out=lo)
+        hi = np.minimum.accumulate(hi[::-1])[::-1]
+
+    at_prev = above(lo[:-1], slots[1:], +1)
+    bounded = np.empty(ks.size, dtype=bool)
+    for j in range(ks.size):
+        bounded[j] = not (at_prev[j - 1] if j and bounded[j - 1] else at_first[j])
+    closed = iter(above(lo[bounded], slots[bounded], 0).tolist())
+    return [OneSidedInterval(float(grid[i]), next(closed)) if b else UNINFORMATIVE
+            for i, b in zip(lo, bounded)]
 
 
 def _invert_each_k(profiles, dist, alpha, ks):
-    """``_invert_treated_family`` by one ``invert_lower_bound`` per k.
+    """``_invert_treated_family`` by one ``invert_lower_bound`` per k: the
+    testing oracle for the batched bisection.
 
     Bounds are nondecreasing in k, so each search starts at the grid point
     where the previous one ended, unless that bound was -inf.
@@ -190,86 +237,12 @@ def _invert_each_k(profiles, dist, alpha, ks):
     lo = 0
     for k in ks:
         def pfun(c, side, slots=profiles.data.n_t - k):
-            return survival(dist, float(profiles(c, side)[slots]))
+            return survival(dist, float(profiles.entries(c, slots, side)[0]))
 
         interval, lo = invert_lower_bound(pfun, profiles.grid, alpha, lo_start=lo)
         if not interval.informative:
             lo = 0   # -inf bound: later ks may still start anywhere
         intervals.append(interval)
-    return intervals
-
-
-def _invert_all_k(profiles, dist, alpha, ks):
-    """The intervals of ``_invert_each_k``, from one bisection over every k
-    in rounds of array operations.
-
-    Conditions: one stratum, a discrete null, ascending ks and
-    nondecreasing scores (``RankTransform`` enforces the last).
-
-    Each round probes the midpoint of every open k at tie_shift -1: entry
-    n_t - k of the profile at that grid point, by ``_one_stratum_entries``,
-    then the survival lookup of ``NullDistribution.survival``.  The first
-    grid index whose p-value exceeds alpha is nondecreasing in k, so after
-    each round the bounds tighten across k: a running maximum of ``lo`` and
-    a reverse running minimum of ``hi``.  The -inf guard (tie_shift +1) and
-    the closedness (tie_shift 0) are read where the per-k loop reads them:
-    the guard at grid[0] for the first k and after a -inf bound, otherwise
-    at the previous k's index; the closedness by ``profiles(c, 0)``, whose
-    ties fall back to position.
-
-    Why the intervals are bit-identical.  At a fixed tie_shift the p-value
-    does not decrease as c increases, even in floating point: each
-    fl(y - c) falls weakly as c rises, so each rank and each gathered score
-    falls weakly, and a fixed-order sum of smaller terms is no larger.  In
-    k, the score indices of entry m are elementwise at least those of entry
-    m + 1, so the p-value does not increase with k.  Hence each
-    warm-started search of the loop returns the first index at which its
-    predicate holds (or the last grid index), which is the index this
-    search finds from 0.  Float ties break monotonicity only between
-    tie_shifts, and each tie_shift is read here exactly where the loop
-    reads it.
-    """
-    data, grid = profiles.data, profiles.grid
-    ks = np.fromiter(ks, dtype=np.intp)
-    if grid.size == 0:
-        return [OneSidedInterval(NEG_INF, False)] * ks.size
-    yt = np.sort(data.y[data.z == 1])
-    yc = np.sort(data.y[data.z == 0])
-    phi = profiles.transforms[0].scores(data.n)
-    slots = data.n_t - ks
-    tail = np.append(dist.tail, 0.0)   # the survival function is 0 past the support
-
-    def above(i, m, tie_shift):
-        t = _one_stratum_entries(yt, yc, phi, grid[i], m, tie_shift)
-        return tail[np.searchsorted(dist.support, t, "left")] > alpha
-
-    lo = np.zeros(ks.size, dtype=np.intp)
-    hi = np.full(ks.size, grid.size - 1, dtype=np.intp)
-    while True:
-        todo = np.flatnonzero(lo < hi)
-        if todo.size == 0:
-            break
-        mid = (lo[todo] + hi[todo]) // 2
-        hit = above(mid, slots[todo], -1)
-        hi[todo[hit]] = mid[hit]
-        lo[todo[~hit]] = mid[~hit] + 1
-        np.maximum.accumulate(lo, out=lo)
-        hi = np.minimum.accumulate(hi[::-1])[::-1]
-
-    at_first = above(np.zeros_like(lo), slots, +1)
-    at_prev = above(lo[:-1], slots[1:], +1)
-    intervals = []
-    start = 0
-    for j in range(ks.size):
-        guard = at_first[j] if start == 0 else at_prev[j - 1]
-        if guard:
-            intervals.append(OneSidedInterval(NEG_INF, False))
-            start = 0
-        else:
-            c = grid[lo[j]]
-            closed = survival(dist, float(profiles(c, 0)[int(slots[j])])) > alpha
-            intervals.append(OneSidedInterval(float(c), closed))
-            start = lo[j]
     return intervals
 
 

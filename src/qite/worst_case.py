@@ -138,35 +138,6 @@ def _entry_indices(R, m):
     return np.where(kept < 0, cols, shifted + m - 1)
 
 
-def _one_stratum_entries(yt, yc, phi, c, m, tie_shift):
-    """Entry m[b] of the one-stratum profile at threshold c[b], for every
-    b, at tie_shift -1 or +1; yt and yc are the sorted treated and control
-    outcomes and phi the scores.
-
-    Row b of ``yt - c[b]`` is the subtraction ``_treated_ranks`` makes,
-    and it stays sorted because rounding is monotone.  So the rank of
-    treated unit p is p + 1 plus the number of controls below its imputed
-    outcome: strictly below at tie_shift -1 (the treated unit ranks first
-    on a tie), at or below at +1.  Tie_shift 0 breaks ties by position
-    and is not served here.  Entries are gathered and summed as the rows
-    of ``_cost_table``, so they are bit-identical to ``_OneStratumProfile``
-    for any score table, in blocks of at most ``_COST_BLOCK`` indices.
-    """
-    side = {-1: "left", +1: "right"}[tie_shift]
-    n_t = yt.size
-    ranks = np.arange(1, n_t + 1)
-    out = np.empty(c.size)
-    rows = max(1, _COST_BLOCK // n_t)
-    for a in range(0, c.size, rows):
-        b = slice(a, a + rows)
-        cb = c[b]
-        # consecutive equal thresholds share one ranking
-        new = np.concatenate(([True], cb[1:] != cb[:-1]))
-        R = ranks + np.searchsorted(yc, yt - cb[new, None], side)
-        out[b] = phi[_entry_indices(R[np.cumsum(new) - 1], m[b, None])].sum(axis=1)
-    return out
-
-
 def _cost_tables(data, R, transforms):
     """Every stratum's cost table, from its slice of ``_treated_ranks``."""
     tables = []
@@ -200,43 +171,24 @@ def _allocation_dp(tables, n_t):
     return stages
 
 
-class _OneStratumProfile:
-    """Profile of a one-stratum design, evaluated one entry at a time.
-
-    Entry m is row m of the stratum's ``_cost_table``: the same scores,
-    summed in the same ascending-rank order.  A threshold costs one ranking
-    and an entry O(n_t); the O(n_t^2) table is never built, because an
-    inversion reads only a few entries per threshold.
-    """
-
-    def __init__(self, R, phi):
-        self._R = R
-        self._phi = phi
-
-    def __getitem__(self, m):
-        n_t = self._R.size
-        if not 0 <= m <= n_t:
-            raise IndexError(f"profile entry {m} outside [0, {n_t}]")
-        return self._phi[_entry_indices(self._R, m)].sum()
-
-
 def min_stat_scre_profile(data, transforms, c, tie_shift=0):
     """Profile over slot capacities: entry u is the minimum statistic when
     up to u unbounded-effect slots may be allocated across strata
     (u = 0..n_t).
 
     Every design is ranked once, by ``_treated_ranks``.  One stratum
-    (including a completely randomized design) gets a lazy profile read
-    off its cost table; one treated unit per stratum gets a closed form;
-    otherwise the last stage of ``_allocation_dp`` over the per-stratum
-    cost tables, exact within-stratum statistics, is the profile.  f_s is
-    nonincreasing in m, so the minimum at capacity u is attained using all
-    u slots and the profile itself is nonincreasing.
+    (including a completely randomized design) gets its cost table, which
+    ``_ProfileReader.entries`` reads entry by entry without building it;
+    one treated unit per stratum gets a closed form; otherwise the last
+    stage of ``_allocation_dp`` over the per-stratum cost tables, exact
+    within-stratum statistics, is the profile.  f_s is nonincreasing in m,
+    so the minimum at capacity u is attained using all u slots and the
+    profile itself is nonincreasing.
     """
     transforms = per_stratum_transforms(data, transforms)
     R = _treated_ranks(data, c, tie_shift)
     if data.n_strata == 1:
-        return _OneStratumProfile(R, transforms[0].scores(data.n))
+        return _cost_table(R, transforms[0].scores(data.n))
     if data.n_t == data.n_strata:   # each stratum holds at least one treated unit
         return _profile_one_treated(data, R, transforms)
     return _allocation_dp(_cost_tables(data, R, transforms), data.n_t)[-1]
@@ -276,14 +228,85 @@ def _profile_one_treated(data, R, transforms):
     return profile
 
 
+class _ProfileReader:
+    """Entries of one data set's profiles, read in batches by ``entries``.
+
+    A one-stratum design (every completely randomized one) sorts its
+    outcomes once, here, and gathers entries from rankings without
+    building a profile.  Other designs read whole profiles by calling the
+    reader, which ``stratified._ProfileCache`` memoizes.
+    """
+
+    def __init__(self, data, transforms):
+        self.data = data
+        self.transforms = per_stratum_transforms(data, transforms)
+        self._n_t = data.n_t
+        self._phi = None   # strata read whole profiles
+        if data.n_strata == 1:
+            self._phi = self.transforms[0].scores(data.n)
+            self._yt, self._yc = np.sort(data.y[data.z == 1]), np.sort(data.y[data.z == 0])
+
+    def __call__(self, c, tie_shift):
+        return min_stat_scre_profile(self.data, self.transforms, c, tie_shift)
+
+    def entries(self, c, m, tie_shift):
+        """Entry m[b] of the profile at threshold c[b] and tie_shift[b],
+        for every b; the arguments broadcast.
+
+        A run of equal thresholds at one tie_shift is ranked, or its
+        profile read, once per block of at most ``_COST_BLOCK`` indices, so
+        callers pass thresholds in ascending order.  One stratum gathers
+        and sums each entry as its row of ``_cost_table``, so entries are
+        bit-identical to the table for any score table.
+        """
+        if np.ndim(tie_shift):   # one batch per tie_shift
+            c, m, tie_shift = np.broadcast_arrays(np.asarray(c, dtype=float), m, tie_shift)
+            out = np.empty(c.shape)
+            for s in set(tie_shift.ravel().tolist()):
+                at = tie_shift == s
+                out[at] = self.entries(c[at], m[at], s)
+            return out.ravel()
+        c, m = (a.ravel() for a in np.broadcast_arrays(np.asarray(c, dtype=float), m))
+        out = np.empty(c.size)
+        rows = max(1, _COST_BLOCK // self._n_t)
+        for a in range(0, c.size, rows):
+            b = slice(a, a + rows)
+            cb = c[b]
+            new = np.ones(cb.size, dtype=bool)
+            new[1:] = cb[1:] != cb[:-1]
+            run = new.cumsum() - 1
+            if self._phi is None:
+                profiles = np.stack([self(x, tie_shift) for x in cb[new].tolist()])
+                out[b] = profiles[run, m[b]]
+            else:
+                R = self._ranks(cb[new], tie_shift)
+                out[b] = self._phi[_entry_indices(R[run], m[b, None])].sum(axis=1)
+        return out
+
+    def _ranks(self, c, tie_shift):
+        """Ascending treated ranks of the one stratum, a row per threshold.
+
+        Row b of ``yt - c[b]`` is the subtraction ``_treated_ranks`` makes,
+        sorted because rounding is monotone, so treated unit p ranks p + 1
+        plus the controls strictly below (tie_shift -1) or at or below (+1)
+        its imputed outcome.  Tie_shift 0 breaks ties by position, by
+        ``_treated_ranks`` itself.
+        """
+        if tie_shift == 0:
+            return np.array([_treated_ranks(self.data, x, 0) for x in c])
+        ranks = np.arange(1, self._n_t + 1)
+        side = "left" if tie_shift < 0 else "right"
+        return ranks + np.searchsorted(self._yc, self._yt - c[:, None], side)
+
+
 def min_stat_scre(data, transforms, k, c, tie_shift=0):
     """Infimum of the (stratified) statistic over effect vectors with at
     most n-k entries above c (all-units scope), for any design."""
     n = data.n
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}]")
-    profile = min_stat_scre_profile(data, transforms, c, tie_shift)
-    return float(profile[min(n - k, data.n_t)])
+    reader = _ProfileReader(data, transforms)
+    return float(reader.entries(c, min(n - k, data.n_t), tie_shift)[0])
 
 
 min_stat_cre = min_stat_scre

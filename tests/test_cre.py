@@ -11,7 +11,7 @@ from qite.cre import jump_grid
 from qite.model import NEG_INF, OneSidedInterval
 from qite.tails import choose_kprime_single
 from qite.worst_case import brute_force_min
-from qite import cre, worst_case
+from qite import worst_case
 
 from conftest import random_cre, teacher_shaped
 
@@ -289,17 +289,13 @@ class TestCiCount:
                            d.n, d.n_t, k, 0.2, 0.5), dist).value > 0.2]
             cases.append((d, dist, c, (min(members), d.n) if members else (0, d.n)))
         calls = []
+        original = worst_case._ProfileReader.entries
 
-        def counting(original):
-            def profile(*args):
-                calls.append(args)
-                return original(*args)
-            return profile
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
 
-        # the name ci_count calls, and the one the per-k scan reaches
-        for module in (cre, worst_case):
-            monkeypatch.setattr(module, "min_stat_scre_profile",
-                                counting(module.min_stat_scre_profile))
+        monkeypatch.setattr(worst_case._ProfileReader, "entries", counted)
         for d, dist, c, want in cases:
             calls.clear()
             assert ci_count(d, W, c, 0.2, 0.5, dist) == want

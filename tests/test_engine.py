@@ -509,3 +509,34 @@ class TestOneNullPerDesign:
         engine._null_cached.cache_clear()
         assert (prediction_intervals_treated(flat, W, 0.1, mc=mc)
                 == prediction_intervals_treated(twin, W, 0.1, mc=mc))
+
+
+class TestSurvivalOnArrays:
+    """Survival at an array equals the scalar survival at each element, bit
+    for bit, and keeps the array's shape."""
+
+    def check(self, nd, xs):
+        xs = np.array(xs, dtype=float)
+        got = nd.survival(xs[:, None])
+        assert got.shape == (xs.size, 1)
+        assert [float(p).hex() for p in got.ravel()] == [
+            float(nd.survival(float(x))).hex() for x in xs]
+
+    def test_exact(self):
+        nd = null_distribution(("cre", 9, 4), RankTransform.stephenson(3), mode="exact")
+        self.check(nd, [NEG_INF, -1.0, *nd.support, 0.5 + nd.support[-1], float("inf"),
+                        nd.support[3] - 1e-9])
+
+    def test_monte_carlo(self):
+        nd = null_distribution(("cre", 30, 15), W, mode="mc", mc=MonteCarloConfig(500, 3))
+        # the +inf pseudo-atom ends the support; nothing lies past it
+        assert nd.support[-1] == float("inf") and nd.survival(float("inf")) > 0.0
+        self.check(nd, [NEG_INF, *nd.support[:5], nd.support[-2], nd.support[-2] + 0.5,
+                        float("inf"), 1e300, 0.0])
+        nd = discrete_null([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        self.check(nd, [3.0, 3.5, float("inf"), NEG_INF])   # 0 past the support
+
+    @pytest.mark.parametrize("sd", [0.0, 1.5])
+    def test_gaussian(self, sd):
+        nd = NullDistribution("gaussian", ("asymptotic",), ("test",), mean=2.0, sd=sd)
+        self.check(nd, [NEG_INF, -1e300, 0.3, 2.0, 2.0 + 1e-15, 7.1, float("inf"), 1e300])

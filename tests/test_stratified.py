@@ -114,45 +114,78 @@ class TestPvalueScre:
 DECIMALS = [round(0.1 * i, 1) for i in range(-3, 8)]
 
 
+def _score_table(draw, n):
+    """A non-integer score table for n units: its sums round."""
+    kind = draw(st.sampled_from(["sqrt", "steps", "tenths"]))
+    if kind == "sqrt":
+        return RankTransform.from_table(np.sqrt(np.arange(1.0, n + 1)) / 3.0)
+    values = st.floats(0.0, 5.0) if kind == "steps" else st.sampled_from([0.0, 0.1, 0.2, 0.3])
+    return RankTransform.from_table(np.cumsum(draw(st.lists(values, min_size=n, max_size=n))))
+
+
 @st.composite
-def one_stratum_family(draw):
-    n_t = draw(st.integers(1, 7))
-    n_c = draw(st.integers(1, 7))
-    n = n_t + n_c
+def treated_family(draw):
+    """A treated-unit family for every design and null: one stratum,
+    strata of unequal shape (the allocation DP), matched pairs and larger
+    matched sets with one treated unit each (the closed form), under
+    exact, Monte Carlo, pairs and gaussian nulls."""
+    design = draw(st.sampled_from(["cre", "strata", "pairs", "sets"]))
+    if design == "cre":
+        n_t = draw(st.integers(1, 7))
+        shapes = [(n_t + draw(st.integers(1, 7)), n_t)]
+    elif design == "strata":
+        shapes = []
+        for _ in range(draw(st.integers(2, 4))):
+            n_s = draw(st.integers(2, 5))
+            shapes.append((n_s, draw(st.integers(1, n_s - 1))))
+    elif design == "pairs":
+        shapes = [(2, 1)] * draw(st.integers(2, 7))
+    else:
+        shapes = [(draw(st.sampled_from([3, 4])), 1) for _ in range(draw(st.integers(2, 5)))]
+    z = np.concatenate([[1] * n_st + [0] * (n_s - n_st) for n_s, n_st in shapes])
+    strata = np.repeat(np.arange(len(shapes)), [n_s for n_s, _ in shapes])
+    n = z.size
     values = draw(st.sampled_from([list(range(5)), DECIMALS, [0.5]]))
     y = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=float)
-    z = np.array([1] * n_t + [0] * n_c)
-    order = draw(st.permutations(range(n)))
+    order = list(draw(st.permutations(range(n))))
+    data = ExperimentData.from_arrays(z[order], y[order],
+                                      None if design == "cre" else strata[order])
     kind = draw(st.sampled_from(["wilcoxon", "stephenson", "table"]))
     if kind == "wilcoxon":
         transform = RankTransform.wilcoxon()
     elif kind == "stephenson":
         transform = RankTransform.stephenson(draw(st.integers(2, 5)))
     else:
-        transform = RankTransform.from_table(np.sqrt(np.arange(1.0, n + 1)) / 3.0)
-    data = ExperimentData.from_arrays(z[list(order)], y[list(order)])
-    if draw(st.booleans()):
-        ks = range(1, n_t + 1)
+        transform = _score_table(draw, n)
+    null = draw(st.sampled_from({"pairs": ["exact", "mc", "pairs", "gaussian"],
+                                 "sets": ["exact", "mc", "gaussian"]}.get(design,
+                                                                           ["exact", "mc"])))
+    mc = MonteCarloConfig(300, 3)
+    if null in ("pairs", "gaussian"):
+        dist = worst_case_tail(data, transform, draw(st.sampled_from([1.0, 1.5, 3.0])),
+                               null, mc)
     else:
-        ks = (draw(st.integers(1, n_t)),)
-    mode = draw(st.sampled_from(["exact", "mc"]))
+        dist = null_for(data, transform, mode=null, mc=mc)
+    if draw(st.booleans()):
+        ks = range(1, data.n_t + 1)
+    else:
+        ks = (draw(st.integers(1, data.n_t)),)
     alpha = draw(st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8]))
     block = draw(st.sampled_from([1, 5, worst_case._COST_BLOCK]))
-    return data, transform, ks, mode, alpha, block
+    return data, transform, dist, ks, alpha, block
 
 
 class TestInvertAllK:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(case=one_stratum_family())
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(case=treated_family())
     def test_bit_identical_to_per_k_loop(self, case):
-        data, transform, ks, mode, alpha, block = case
-        dist = null_for(data, transform, mode=mode, mc=MonteCarloConfig(300, 3))
+        data, transform, dist, ks, alpha, block = case
         want = stratified._invert_each_k(stratified._ProfileCache(data, transform),
                                          dist, alpha, ks)
         original = worst_case._COST_BLOCK
         worst_case._COST_BLOCK = block   # several ranking blocks per round
         try:
-            got = stratified._invert_all_k(
+            got = stratified._invert_treated_family(
                 stratified._ProfileCache(data, transform), dist, alpha, ks)
         finally:
             worst_case._COST_BLOCK = original
@@ -190,34 +223,27 @@ class TestInvertAllK:
 
     def test_fewer_profiles_than_per_k_loop(self, monkeypatch):
         calls = []
-        original = stratified.min_stat_scre_profile
+        original = worst_case._ProfileReader.entries
 
-        def counted(*args):
-            calls.append(args[2:])
-            return original(*args)
+        def counted(self, c, m, tie_shift):
+            calls.append(tie_shift)
+            return original(self, c, m, tie_shift)
 
-        monkeypatch.setattr(stratified, "min_stat_scre_profile", counted)
+        monkeypatch.setattr(worst_case._ProfileReader, "entries", counted)
         d = teacher_shaped()
         dist = null_for(d, W, mc=MonteCarloConfig(5000, 8))
         ks = range(1, d.n_t + 1)
-        stratified._invert_each_k(stratified._ProfileCache(d, W), dist, 0.05, ks)
+        profiles = stratified._ProfileCache(d, W)
+        stratified._invert_each_k(profiles, dist, 0.05, ks)
         per_k = len(calls)
         calls.clear()
-        stratified._invert_treated_family(stratified._ProfileCache(d, W), dist, 0.05, ks)
-        # only the closedness pass ranks one threshold at a time, at tie_shift 0
-        assert {side for _, side in calls} == {0}
-        assert 5 * len(calls) < per_k
-
-    def test_stratified_gaussian_and_single_k_keep_per_k_loop(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("batched path taken")
-
-        monkeypatch.setattr(stratified, "_invert_all_k", fail)
-        prediction_intervals_treated(random_scre(np.random.default_rng(3)), W, 0.2)
-        sensitivity_intervals(pairs_data(4, S=4), W, 0.2, 1.5, mode="gaussian")
-        d = teacher_shaped()
-        dist = null_for(d, W, mc=MonteCarloConfig(5000, 8))
-        stratified._invert_treated_family(stratified._ProfileCache(d, W), dist, 0.05, (40,))
+        stratified._invert_treated_family(profiles, dist, 0.05, ks)
+        # one batch of entries per bisection round, two for the -inf guards
+        # and one for the closedness
+        rounds = math.ceil(math.log2(profiles.grid.size))
+        assert len(calls) <= rounds + 3
+        assert calls[0] == +1 and calls[-2:] == [+1, 0]
+        assert 20 * len(calls) < per_k
 
 
 class TestIntervalsScre:
