@@ -161,10 +161,10 @@ def simultaneous_cis(data, transform, ks, alpha, gamma=DEFAULT_GAMMA, mc=DEFAULT
     if alpha_eff <= 0.0:
         return _budget_spent(ks, alpha, "sample-quantiles-all")
     dist = _resolve_null(data, transform, dist, mc)
-    # every k' shares alpha_eff, so one family inverts them all
-    k_primes = sorted({kp for kp in spec.k_primes if kp > 0})
-    found = dict(zip(k_primes, _invert_treated_family(_ProfileCache(data, transform), dist,
-                                                      alpha_eff, k_primes)))
+    # one family per k': a family reads a k's -inf guard at the previous k's bound
+    profiles = _ProfileCache(data, transform)
+    found = {kp: _invert_treated_family(profiles, dist, alpha_eff, (kp,))[0]
+             for kp in set(spec.k_primes) if kp > 0}
     entries = [(k, found.get(kp, UNINFORMATIVE)) for k, kp in zip(ks, spec.k_primes)]
     return IntervalFamily(tuple(entries), 1.0 - alpha, True, "sample-quantiles-all")
 

@@ -217,10 +217,12 @@ def _invert_treated_family(profiles, dist, alpha, ks):
         np.maximum.accumulate(lo, out=lo)
         hi = np.minimum.accumulate(hi[::-1])[::-1]
 
-    at_prev = above(lo[:-1], slots[1:], +1)
-    bounded = np.empty(ks.size, dtype=bool)
-    for j in range(ks.size):
-        bounded[j] = not (at_prev[j - 1] if j and bounded[j - 1] else at_first[j])
+    # after a bounded k the loop reads the next guard at that k's index
+    at_prev = above(lo[:-1], slots[1:], +1) if ks.size > 1 else None
+    bounded = ~at_first
+    for j in range(1, ks.size):
+        if bounded[j - 1]:
+            bounded[j] = not at_prev[j - 1]
     closed = iter(above(lo[bounded], slots[bounded], 0).tolist())
     return [OneSidedInterval(float(grid[i]), next(closed)) if b else UNINFORMATIVE
             for i, b in zip(lo, bounded)]
@@ -228,7 +230,8 @@ def _invert_treated_family(profiles, dist, alpha, ks):
 
 def _invert_each_k(profiles, dist, alpha, ks):
     """``_invert_treated_family`` by one ``invert_lower_bound`` per k: the
-    testing oracle for the batched bisection.
+    testing oracle for the batched bisection.  It reads whole profiles,
+    ranked by ``_treated_ranks``, not ``profiles.entries``.
 
     Bounds are nondecreasing in k, so each search starts at the grid point
     where the previous one ended, unless that bound was -inf.
@@ -237,7 +240,7 @@ def _invert_each_k(profiles, dist, alpha, ks):
     lo = 0
     for k in ks:
         def pfun(c, side, slots=profiles.data.n_t - k):
-            return survival(dist, float(profiles.entries(c, slots, side)[0]))
+            return survival(dist, float(profiles(c, side)[slots]))
 
         interval, lo = invert_lower_bound(pfun, profiles.grid, alpha, lo_start=lo)
         if not interval.informative:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -231,9 +232,9 @@ def _profile_one_treated(data, R, transforms):
 class _ProfileReader:
     """Entries of one data set's profiles, read in batches by ``entries``.
 
-    A one-stratum design (every completely randomized one) sorts its
-    outcomes once, here, and gathers entries from rankings without
-    building a profile.  Other designs read whole profiles by calling the
+    A one-stratum design (every completely randomized one) gathers entries
+    from rankings without building a profile, sorting its outcomes once
+    for the shifted ones.  Other designs read whole profiles by calling the
     reader, which ``stratified._ProfileCache`` memoizes.
     """
 
@@ -241,31 +242,28 @@ class _ProfileReader:
         self.data = data
         self.transforms = per_stratum_transforms(data, transforms)
         self._n_t = data.n_t
-        self._phi = None   # strata read whole profiles
-        if data.n_strata == 1:
-            self._phi = self.transforms[0].scores(data.n)
-            self._yt, self._yc = np.sort(data.y[data.z == 1]), np.sort(data.y[data.z == 0])
+        # strata read whole profiles
+        self._phi = self.transforms[0].scores(data.n) if data.n_strata == 1 else None
+
+    @cached_property
+    def _sorted_outcomes(self):
+        """Treated and control outcomes, each ascending: read at tie_shift +-1."""
+        z, y = self.data.z, self.data.y
+        return np.sort(y[z == 1]), np.sort(y[z == 0])
 
     def __call__(self, c, tie_shift):
         return min_stat_scre_profile(self.data, self.transforms, c, tie_shift)
 
     def entries(self, c, m, tie_shift):
-        """Entry m[b] of the profile at threshold c[b] and tie_shift[b],
-        for every b; the arguments broadcast.
+        """Entry m[b] of the profile at threshold c[b], for every b (c and
+        m broadcast), all at one tie_shift.
 
-        A run of equal thresholds at one tie_shift is ranked, or its
-        profile read, once per block of at most ``_COST_BLOCK`` indices, so
-        callers pass thresholds in ascending order.  One stratum gathers
-        and sums each entry as its row of ``_cost_table``, so entries are
-        bit-identical to the table for any score table.
+        A run of equal thresholds is ranked, or its profile read, once per
+        block of at most ``_COST_BLOCK`` indices, so callers pass
+        thresholds in ascending order.  One stratum gathers and sums each
+        entry as its row of ``_cost_table``, so entries are bit-identical
+        to the table for any score table.
         """
-        if np.ndim(tie_shift):   # one batch per tie_shift
-            c, m, tie_shift = np.broadcast_arrays(np.asarray(c, dtype=float), m, tie_shift)
-            out = np.empty(c.shape)
-            for s in set(tie_shift.ravel().tolist()):
-                at = tie_shift == s
-                out[at] = self.entries(c[at], m[at], s)
-            return out.ravel()
         c, m = (a.ravel() for a in np.broadcast_arrays(np.asarray(c, dtype=float), m))
         out = np.empty(c.size)
         rows = max(1, _COST_BLOCK // self._n_t)
@@ -294,9 +292,9 @@ class _ProfileReader:
         """
         if tie_shift == 0:
             return np.array([_treated_ranks(self.data, x, 0) for x in c])
-        ranks = np.arange(1, self._n_t + 1)
+        yt, yc = self._sorted_outcomes
         side = "left" if tie_shift < 0 else "right"
-        return ranks + np.searchsorted(self._yc, self._yt - c[:, None], side)
+        return np.arange(1, self._n_t + 1) + np.searchsorted(yc, yt - c[:, None], side)
 
 
 def min_stat_scre(data, transforms, k, c, tie_shift=0):

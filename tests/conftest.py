@@ -14,6 +14,22 @@ def mc_small():
     return MonteCarloConfig(20_000, 404)
 
 
+# one-decimal outcomes put ulp-close points on the jump grid, such as
+# 0.3 - 0.1 = 0.19999999999999998 next to 0.2 - 0.0 = 0.2
+DECIMALS = [round(0.1 * i, 1) for i in range(-3, 8)]
+
+# one-decimal CREs on whose jump grids float ties make some k's -inf guard
+# (tie_shift +1) depend on the grid index it is read at
+GUARD_SENSITIVE = [
+    ([1, 0, 1, 0, 0, 1, 0, 0], [0.4, -0.2, 0.4, -0.1, -0.1, 0.7, -0.3, 0.5],
+     RankTransform.wilcoxon()),
+    ([1, 1, 0, 1, 1, 1, 1, 0], [0.7, 0.6, -0.2, -0.2, 0.1, -0.2, -0.2, 0.1],
+     RankTransform.stephenson(3)),
+    ([1, 0, 1, 1, 1, 1, 1, 1], [-0.1, 0.3, -0.1, -0.1, 0.6, 0.5, 0.7, -0.2],
+     RankTransform.wilcoxon()),
+]
+
+
 def random_cre(rng, n_max=7, integer_outcomes=True):
     """Small random experiment, ties likely when integer outcomes."""
     n = int(rng.integers(2, n_max + 1))

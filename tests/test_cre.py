@@ -9,11 +9,11 @@ from qite import (
 )
 from qite.cre import jump_grid
 from qite.model import NEG_INF, OneSidedInterval
-from qite.tails import choose_kprime_single
+from qite.tails import CorrectionSpec, choose_kprime_single
 from qite.worst_case import brute_force_min
-from qite import worst_case
+from qite import stratified, worst_case
 
-from conftest import random_cre, teacher_shaped
+from conftest import GUARD_SENSITIVE, random_cre, teacher_shaped
 
 W = RankTransform.wilcoxon()
 MC = MonteCarloConfig(50_000, 31)
@@ -339,11 +339,24 @@ class TestSimultaneous:
         fam = simultaneous_cis(d, s6, ks, 0.1, 0.5, MC)
         assert fam.is_nested()
 
+    @pytest.mark.parametrize("z, y, transform", GUARD_SENSITIVE)
+    def test_each_k_prime_inverted_alone(self, z, y, transform):
+        # a family reads a k's -inf guard at the previous k's bound; every k'
+        # reads its own at grid[0], as a one-k inversion does
+        d = ExperimentData.from_arrays(z, y)
+        dist = null_for(d, transform)
+        k_primes = tuple(range(1, d.n_t + 1))
+        spec = CorrectionSpec(k_primes, 0.0, 0.5, 1.0)
+        for alpha in np.linspace(0.02, 0.98, 49):
+            fam = simultaneous_cis(d, transform, k_primes, alpha, dist=dist,
+                                   corrections=spec)
+            alone = [stratified._invert_each_k(stratified._ProfileCache(d, transform), dist,
+                                               alpha, (kp,))[0] for kp in k_primes]
+            assert [iv for _, iv in fam.entries] == alone
+
     def test_budget_exhaustion_yields_flagged_whole_lines(self):
         # normally unreachable (the chooser keeps the correction below
         # gamma*alpha), so force it with an oversized injected correction
-        from qite.tails import CorrectionSpec
-
         d = ExperimentData.from_arrays([1, 1, 0, 0], [3.0, 4.0, 1.0, 2.0])
         spec = CorrectionSpec((1, 2), 0.5, 0.5, 1.0)
         fam = simultaneous_cis(d, W, [3, 4], 0.1, 0.5, MC, corrections=spec)

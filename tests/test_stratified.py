@@ -15,7 +15,7 @@ from qite.model import MAX_ABS_OUTCOME, NEG_INF, rng_for
 from qite import engine, stratified, worst_case
 from qite.stratified import sensitivity_intervals
 
-from conftest import random_cre, random_scre, teacher_shaped
+from conftest import DECIMALS, GUARD_SENSITIVE, random_cre, random_scre, teacher_shaped
 
 W = RankTransform.wilcoxon()
 MC = MonteCarloConfig(50_000, 17)
@@ -109,11 +109,6 @@ class TestPvalueScre:
         assert 0.0 <= stratified.pvalue(d, W, 1, c).value <= 1.0
 
 
-# one-decimal outcomes put ulp-close points on the jump grid, such as
-# 0.3 - 0.1 = 0.19999999999999998 next to 0.2 - 0.0 = 0.2
-DECIMALS = [round(0.1 * i, 1) for i in range(-3, 8)]
-
-
 def _score_table(draw, n):
     """A non-integer score table for n units: its sums round."""
     kind = draw(st.sampled_from(["sqrt", "steps", "tenths"]))
@@ -191,16 +186,11 @@ class TestInvertAllK:
             worst_case._COST_BLOCK = original
         assert [(iv.lower, iv.closed) for iv in got] == [(iv.lower, iv.closed) for iv in want]
 
-    @pytest.mark.parametrize("z, y, transform", [
-        ([1, 0, 1, 0, 0, 1, 0, 0], [0.4, -0.2, 0.4, -0.1, -0.1, 0.7, -0.3, 0.5], W),
-        ([1, 1, 0, 1, 1, 1, 1, 0], [0.7, 0.6, -0.2, -0.2, 0.1, -0.2, -0.2, 0.1],
-         RankTransform.stephenson(3)),
-        ([1, 0, 1, 1, 1, 1, 1, 1], [-0.1, 0.3, -0.1, -0.1, 0.6, 0.5, 0.7, -0.2], W),
-    ])
+    @pytest.mark.parametrize("z, y, transform", GUARD_SENSITIVE)
     def test_guard_read_where_the_loop_reads_it(self, z, y, transform):
-        # float ties on these one-decimal grids make the -inf guard of some k
-        # depend on where it is read: at grid[0] after a -inf bound, else at
-        # the previous k's index.  Reading it anywhere else changes a family.
+        # the loop reads a k's -inf guard at grid[0] after a -inf bound, else
+        # at the previous k's index; on these data reading it anywhere else
+        # changes a family
         d = ExperimentData.from_arrays(z, y)
         dist = null_for(d, transform)
         ks = range(1, d.n_t + 1)
@@ -222,14 +212,19 @@ class TestInvertAllK:
                     stratified._ProfileCache(d, transform), dist, alpha, ks)
 
     def test_fewer_profiles_than_per_k_loop(self, monkeypatch):
+        # profile reads: whole profiles by the loop, batches of entries by
+        # the family (a CRE's entries build no profile)
         calls = []
-        original = worst_case._ProfileReader.entries
+        entries, profile = worst_case._ProfileReader.entries, stratified._ProfileCache.__call__
 
-        def counted(self, c, m, tie_shift):
-            calls.append(tie_shift)
-            return original(self, c, m, tie_shift)
+        def counted(read):
+            def wrapper(self, c, *args):
+                calls.append(args[-1])
+                return read(self, c, *args)
+            return wrapper
 
-        monkeypatch.setattr(worst_case._ProfileReader, "entries", counted)
+        monkeypatch.setattr(worst_case._ProfileReader, "entries", counted(entries))
+        monkeypatch.setattr(stratified._ProfileCache, "__call__", counted(profile))
         d = teacher_shaped()
         dist = null_for(d, W, mc=MonteCarloConfig(5000, 8))
         ks = range(1, d.n_t + 1)

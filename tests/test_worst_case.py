@@ -11,7 +11,7 @@ from qite.worst_case import (
 )
 from qite import worst_case
 
-from conftest import random_cre, random_scre
+from conftest import DECIMALS, random_cre, random_scre
 
 W = RankTransform.wilcoxon()
 S2 = RankTransform.stephenson(2)
@@ -341,11 +341,13 @@ class TestTreatedRanks:
 def cre_designs(draw):
     """Small completely randomized design (n <= 8, n_t = 1 included), its
     transform, and one threshold and side.  Integer outcomes make ties
-    likely; table scores are real-valued, so their sums round."""
+    likely, one-decimal ones put ulp-close points on the jump grid; table
+    scores are real-valued, so their sums round."""
     n = draw(st.integers(2, 8))
     n_t = draw(st.integers(1, n - 1))
     z = draw(st.permutations([1] * n_t + [0] * (n - n_t)))
-    y = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5]), min_size=n, max_size=n))
+    values = draw(st.sampled_from([[0.0, 1.0, 2.0, 3.0, 0.5], DECIMALS]))
+    y = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
     d = ExperimentData.from_arrays(z, np.array(y))
     kind = draw(st.sampled_from(["wilcoxon", "stephenson", "table"]))
     if kind == "wilcoxon":
@@ -377,21 +379,24 @@ class TestOneStratumProfile:
     @given(case=cre_designs(), data=st.data())
     def test_batched_entries_equal_profile(self, case, data):
         d, tr, c, _ = case
-        # entries at several thresholds and tie sides, equal ones often repeated
+        # entries at several thresholds, equal ones often repeated, read at
+        # each tie side
         size = data.draw(st.integers(1, 8))
         cs = data.draw(st.lists(st.sampled_from([c, *jump_grid(d).tolist()]), min_size=size,
                                 max_size=size))
         ms = data.draw(st.lists(st.integers(0, d.n_t), min_size=size, max_size=size))
-        sides = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=size, max_size=size))
         original = worst_case._COST_BLOCK
         # several ranking and gathering blocks per call
         worst_case._COST_BLOCK = data.draw(st.sampled_from([1, 5, original]))
         try:
-            got = _ProfileReader(d, tr).entries(cs, ms, sides)
+            reader = _ProfileReader(d, tr)
+            got = [reader.entries(cs, ms, side) for side in (-1, 0, 1)]
         finally:
             worst_case._COST_BLOCK = original
-        for t, c_b, m, side in zip(got, cs, ms, sides):
-            assert float(t).hex() == float(min_stat_scre_profile(d, tr, c_b, side)[m]).hex()
+        for side, at_side in zip((-1, 0, 1), got):
+            for t, c_b, m in zip(at_side, cs, ms):
+                want = min_stat_scre_profile(d, tr, c_b, side)[m]
+                assert float(t).hex() == float(want).hex()
 
     def test_single_label_takes_the_one_stratum_path(self):
         # one treated unit and one stratum label: the entries are exact
