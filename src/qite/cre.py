@@ -20,10 +20,8 @@ from .model import (
     switch_labels_negate,
 )
 from .engine import null_for
-from .stratified import (
-    PValueResult, _ProfileCache, _check_threshold, _invert_treated_family, jump_grid, pvalue,
-)
-from .worst_case import _ProfileReader
+from .stratified import PValueResult, _check_threshold, _invert_stacks, jump_grid, pvalue
+from .worst_case import _ProfileReader, _stack
 from .tails import choose_kprime_multi, choose_kprime_single, hypergeom_sf
 
 DEFAULT_GAMMA = 0.5
@@ -84,23 +82,29 @@ class SingleCi:
 
 def ci_single(data, transform, k, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFAULT_MC):
     """1-alpha confidence interval for the k-th smallest effect among all
-    units, spending at most gamma*alpha on the count correction."""
-    _require_complete(data)
-    n, n_t = data.n, data.n_t
+    units, spending at most gamma*alpha on the count correction.
+
+    ``data`` is one ``ExperimentData``, or a list of data sets of one shape
+    inverted in one bisection: then a list of results.
+    """
+    stack, one = _stack(data)
+    _require_complete(stack[0])
+    n, n_t = stack[0].n, stack[0].n_t
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
     k_prime = choose_kprime_single(n, n_t, k, alpha, gamma)
     corr = hypergeom_sf(n, n - k, n_t, n_t - k_prime)
     alpha_eff = alpha - corr
     if alpha_eff <= 0.0:
-        return SingleCi(UNINFORMATIVE, k, k_prime, corr, alpha_eff,
-                        warning="correction consumed the error budget")
-    if k_prime <= 0:
-        return SingleCi(UNINFORMATIVE, k, k_prime, corr, alpha_eff)
-    dist = _resolve_null(data, transform, dist, mc)
-    interval, = _invert_treated_family(_ProfileCache(data, transform), dist, alpha_eff,
-                                       (k_prime,))
-    return SingleCi(interval, k, k_prime, corr, alpha_eff)
+        found = [SingleCi(UNINFORMATIVE, k, k_prime, corr, alpha_eff,
+                          warning="correction consumed the error budget")] * len(stack)
+    elif k_prime <= 0:
+        found = [SingleCi(UNINFORMATIVE, k, k_prime, corr, alpha_eff)] * len(stack)
+    else:
+        dist = _resolve_null(stack[0], transform, dist, mc)
+        found = [SingleCi(fams[0][0], k, k_prime, corr, alpha_eff) for fams in
+                 _invert_stacks([(stack, dist, alpha_eff, [(k_prime,)])], transform)[0]]
+    return found[0] if one else found
 
 
 def ci_count(data, transform, c, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFAULT_MC):
@@ -134,39 +138,68 @@ def simultaneous_cis(data, transform, ks, alpha, gamma=DEFAULT_GAMMA, mc=DEFAULT
 
     With combine_sides, both orientations run at alpha/2 and each quantile
     keeps the better (larger) lower bound, making the result invariant to
-    treatment labeling.
+    treatment labeling.  ``data`` is one ``ExperimentData``, or a list of
+    data sets of one shape: then a list of families.
+
+    Each distinct k' is inverted as its own one-k family, which reads its
+    -inf guard at grid[0] (a family reads a k's guard at the previous k's
+    bound); every k' of every data set and orientation that share a null
+    and alpha goes through one bisection.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    _require_complete(data)
+    stack, one = _stack(data)
+    _require_complete(stack[0])
     ks = sorted(int(k) for k in ks)
     if combine_sides:
         spec_t, spec_c = corrections if corrections is not None else (None, None)
-        fam_t = simultaneous_cis(data, transform, ks, alpha / 2.0, gamma, mc,
-                                 dist, False, spec_t)
-        fam_c = simultaneous_cis(switch_labels_negate(data), transform, ks,
-                                 alpha / 2.0, gamma, mc, None, False, spec_c)
-        entries, warnings = [], set(fam_t.warnings) | set(fam_c.warnings)
-        for (k, iv_t), (_, iv_c) in zip(fam_t.entries, fam_c.entries):
-            best = max((iv_t, iv_c), key=lambda iv: (iv.lower, iv.closed))
-            entries.append((k, best))
-        return IntervalFamily(tuple(entries), 1.0 - alpha, True,
-                              "sample-quantiles-all", tuple(sorted(warnings)))
+        sides = [(stack, dist, spec_t),
+                 ([switch_labels_negate(d) for d in stack], None, spec_c)]
+        alpha_side = alpha / 2.0
+    else:
+        sides = [(stack, dist, corrections)]
+        alpha_side = alpha
 
-    n, n_t = data.n, data.n_t
-    spec = corrections
-    if spec is None:
-        spec = choose_kprime_multi(n, n_t, ks, alpha, gamma)
-    alpha_eff = alpha - spec.correction
-    if alpha_eff <= 0.0:
-        return _budget_spent(ks, alpha, "sample-quantiles-all")
-    dist = _resolve_null(data, transform, dist, mc)
-    # one family per k': a family reads a k's -inf guard at the previous k's bound
-    profiles = _ProfileCache(data, transform)
-    found = {kp: _invert_treated_family(profiles, dist, alpha_eff, (kp,))[0]
-             for kp in set(spec.k_primes) if kp > 0}
-    entries = [(k, found.get(kp, UNINFORMATIVE)) for k, kp in zip(ks, spec.k_primes)]
-    return IntervalFamily(tuple(entries), 1.0 - alpha, True, "sample-quantiles-all")
+    n = stack[0].n
+    specs, requests = [], []
+    for side_stack, side_dist, spec in sides:
+        if spec is None:
+            spec = choose_kprime_multi(n, side_stack[0].n_t, ks, alpha_side, gamma)
+        alpha_eff = alpha_side - spec.correction
+        k_primes = sorted({kp for kp in spec.k_primes if kp > 0})
+        if alpha_eff > 0.0:
+            side_dist = _resolve_null(side_stack[0], transform, side_dist, mc)
+            if k_primes:
+                requests.append((side_stack, side_dist, alpha_eff, [(kp,) for kp in k_primes]))
+        specs.append((spec, alpha_eff, k_primes))
+    found = iter(_invert_stacks(requests, transform))
+
+    families = []   # per orientation, per data set
+    for spec, alpha_eff, k_primes in specs:
+        if alpha_eff <= 0.0:
+            families.append([_budget_spent(ks, alpha_side, "sample-quantiles-all")] * len(stack))
+            continue
+        side = []
+        for fams in (next(found) if k_primes else [[]] * len(stack)):
+            by_kp = {kp: iv for kp, (iv,) in zip(k_primes, fams)}
+            entries = tuple((k, by_kp.get(kp, UNINFORMATIVE)) for k, kp in zip(ks, spec.k_primes))
+            side.append(IntervalFamily(entries, 1.0 - alpha_side, True, "sample-quantiles-all"))
+        families.append(side)
+
+    if combine_sides:
+        families = [_better_side(alpha, fam_t, fam_c) for fam_t, fam_c in zip(*families)]
+    else:
+        families = families[0]
+    return families[0] if one else families
+
+
+def _better_side(alpha, fam_t, fam_c):
+    """Each quantile's better (larger) lower bound of the two orientations."""
+    entries = []
+    for (k, iv_t), (_, iv_c) in zip(fam_t.entries, fam_c.entries):
+        entries.append((k, max((iv_t, iv_c), key=lambda iv: (iv.lower, iv.closed))))
+    return IntervalFamily(tuple(entries), 1.0 - alpha, True, "sample-quantiles-all",
+                          tuple(sorted(set(fam_t.warnings) | set(fam_c.warnings))))
 
 
 def _budget_spent(indices, alpha, target):

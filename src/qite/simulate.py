@@ -5,7 +5,8 @@ and Var(Y(1)) = 1 - rho2 and mean effect 2, so individual effects are
 N(2, 1) regardless of rho2; varying rho2 trades tail weight between the
 two potential outcome distributions.  Replicate r draws its randomness
 from substream (seed, tag, r), so results do not depend on evaluation
-order.
+order.  A study draws every replicate of a cell first, then inverts them
+all in one call per method.
 """
 
 from __future__ import annotations
@@ -63,8 +64,18 @@ def generate(spec, replicate=0):
 
 def _parallel(fn, items):
     """Run one replicate per index, in order.  Every study maps its
-    replicates through here, so a tracer can time each replicate."""
+    replicates through here, so a tracer can time each replicate: data
+    generation, for the studies that then invert every replicate of a
+    cell in one call per method, or the whole replicate.
+    """
     return [fn(item) for item in items]
+
+
+def _draw_cell(spec):
+    """Every replicate's data and sorted latent effects, drawn before any
+    inversion so that each method inverts the whole cell in one call."""
+    draws = _parallel(lambda r: generate(spec, r), range(spec.replications))
+    return [data for data, _ in draws], [np.sort(tau) for _, tau in draws]
 
 
 def _quantile_ks(n, quantiles):
@@ -100,29 +111,18 @@ def method_comparison(spec, rho2s=None, quantiles=(0.5, 0.6, 0.7, 0.8, 0.9),
     for rho2 in rho2s:
         cell = replace(spec, rho2=rho2)
         ks = _quantile_ks(cell.n, quantiles)
-        sample = generate(cell, 0)[0]
-        corrections = None
+        sample = _draw_cell(cell)[0]
+        lowers = {}
+        if "m0" in methods:
+            lowers["m0"] = intervals_from_treated_only(sample, transform, alpha, mc=mc)
+        if "m1" in methods:
+            lowers["m1"] = combine_treated_control(sample, transform, alpha / 2.0, mc=mc)
         if "m2" in methods:
-            corrections = _m2_corrections(sample.n, sample.n_t, ks, alpha, gamma)
-
-        def one_rep(r):
-            data, _ = generate(cell, r)
-            out = {}
-            if "m0" in methods:
-                fam = intervals_from_treated_only(data, transform, alpha, mc=mc)
-                out["m0"] = [fam.interval(k).lower for k in ks]
-            if "m1" in methods:
-                fam = combine_treated_control(data, transform, alpha / 2.0, mc=mc)
-                out["m1"] = [fam.interval(k).lower for k in ks]
-            if "m2" in methods:
-                fam = simultaneous_cis(data, transform, ks, alpha, gamma, mc,
-                                       combine_sides=True, corrections=corrections)
-                out["m2"] = [fam.interval(k).lower for k in ks]
-            return out
-
-        reps = _parallel(one_rep, range(cell.replications))
-        for method in reps[0]:
-            mat = np.array([rep[method] for rep in reps])
+            corrections = _m2_corrections(cell.n, sample[0].n_t, ks, alpha, gamma)
+            lowers["m2"] = simultaneous_cis(sample, transform, ks, alpha, gamma, mc,
+                                            combine_sides=True, corrections=corrections)
+        for method, families in lowers.items():
+            mat = np.array([[fam.interval(k).lower for k in ks] for fam in families])
             for qi, q in enumerate(quantiles):
                 col = mat[:, qi]
                 rows.append({
@@ -203,6 +203,8 @@ def coverage_audit(procedure, spec, alpha=0.1, transform=None, mc=DEFAULT_MC,
             fam = population_cis(ExperimentData(z, y), transform, target, alpha, mc)
             return all(fam.interval(b).contains(t) for b, t in zip(betas, truths))
 
+        hits = _parallel(one_rep, range(R))
+
     elif procedure == "superpopulation":
         from statistics import NormalDist
         tau = NormalDist(2.0, 1.0)   # the effect distribution of generate()
@@ -215,34 +217,30 @@ def coverage_audit(procedure, spec, alpha=0.1, transform=None, mc=DEFAULT_MC,
             fam = population_cis(data, transform, target, alpha, mc)
             return all(fam.interval(b).contains(t) for b, t in zip(betas, truths))
 
+        hits = _parallel(one_rep, range(R))
+
     elif procedure == "combined-all-quantiles":
-        def one_rep(r):
-            data, tau = generate(spec, r)
-            fam = combine_treated_control(data, transform, alpha / 2.0, mc=mc)
-            return _covers_sorted(fam, tau)
+        sample, effects = _draw_cell(spec)
+        families = combine_treated_control(sample, transform, alpha / 2.0, mc=mc)
+        hits = [_covers_sorted(fam, tau) for fam, tau in zip(families, effects)]
 
     elif procedure == "single-quantile":
         ks = _quantile_ks(spec.n, quantiles)
         k_mid = ks[len(ks) // 2]
-
-        def one_rep(r):
-            data, tau = generate(spec, r)
-            res = ci_single(data, transform, k_mid, alpha, gamma, mc=mc)
-            return res.interval.contains(np.sort(tau)[k_mid - 1])
+        sample, effects = _draw_cell(spec)
+        results = ci_single(sample, transform, k_mid, alpha, gamma, mc=mc)
+        hits = [res.interval.contains(tau[k_mid - 1]) for res, tau in zip(results, effects)]
 
     elif procedure == "multi-quantile":
         ks = _quantile_ks(spec.n, quantiles)
-
-        def one_rep(r):
-            data, tau = generate(spec, r)
-            fam = simultaneous_cis(data, transform, ks, alpha, gamma, mc)
-            srt = np.sort(tau)
-            return all(fam.interval(k).contains(srt[k - 1]) for k in ks)
+        sample, effects = _draw_cell(spec)
+        families = simultaneous_cis(sample, transform, ks, alpha, gamma, mc)
+        hits = [all(fam.interval(k).contains(tau[k - 1]) for k in ks)
+                for fam, tau in zip(families, effects)]
 
     else:
         raise ValueError(f"unknown procedure {procedure!r}")
 
-    hits = _parallel(one_rep, range(R))
     p = float(np.mean(hits))
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / R)
     return CoverageResult(procedure, p, se, R)

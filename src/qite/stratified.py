@@ -9,7 +9,8 @@ minimized statistic is a step function of c whose jumps lie on the
 within-stratum treated-minus-control outcome gaps, so inversion is a
 binary search over that grid with exact evaluation at each grid point and
 at its open limits.  One bisection serves every k of a family at once,
-reading a batch of profile entries per round.  A stratified profile
+reading a batch of profile entries per round, and every family of a stack
+of one-stratum data sets of one shape.  A stratified profile
 depends only on the data and the threshold, not on the null, so it is
 memoized per threshold, and a sensitivity curve shares one profile cache
 across its whole Gamma grid.
@@ -38,7 +39,7 @@ from .engine import (
     EXACT_CAP_DEFAULT, ExactEnumerationError, NullDistribution, _mc_null, _uniform_rows,
     convolve_discrete, discrete_null, null_for, per_stratum_transforms, survival,
 )
-from .worst_case import _ProfileReader, min_stat_scre, min_stat_scre_profile
+from .worst_case import _ProfileReader, _stack, min_stat_scre, min_stat_scre_profile
 
 _TAG_SENS = 31
 
@@ -143,17 +144,23 @@ def invert_lower_bound(pfun, grid, alpha, lo_start=0):
 
 
 class _ProfileCache(_ProfileReader):
-    """Profile entries and the jump grid of one data set, stratified
-    profiles memoized per (threshold, side); shared by all k and, in a
-    sensitivity curve, by every Gamma."""
+    """Profile entries and the jump grids of a stack of data sets,
+    stratified profiles memoized per (threshold, side); shared by all k
+    and, in a sensitivity curve, by every Gamma."""
 
     def __init__(self, data, transforms):
         super().__init__(data, transforms)
         self._store = {}
 
     @cached_property
+    def grids(self):
+        """The jump grid of each data set of the stack."""
+        return [jump_grid(d) for d in self.stack]
+
+    @cached_property
     def grid(self):
-        return jump_grid(self.data)
+        """The jump grids laid end to end: one data set's own grid."""
+        return np.concatenate(self.grids)
 
     def __call__(self, c, side):
         key = (float(c), side)
@@ -163,18 +170,28 @@ class _ProfileCache(_ProfileReader):
 
 
 def _invert_treated_family(profiles, dist, alpha, ks):
-    """One-sided 1-alpha lower bounds for the k-th sorted treated effects,
-    for ascending ks: the intervals of ``_invert_each_k``, from one
-    bisection over the jump grid for every k in rounds of array operations.
+    """One-sided 1-alpha lower bounds for the k-th sorted treated effects:
+    the intervals of ``_invert_each_k``, from one bisection over the jump
+    grids for every k of every family in rounds of array operations.
+
+    ``ks`` is one family, the ascending ks on the reader's only data set,
+    whose intervals are returned; or a list of independent families, each
+    a pair (data-set index into ``profiles.stack``, ascending ks), whose
+    intervals are returned as a list.  Every family shares ``dist`` and
+    ``alpha``.
 
     Each round probes the midpoint of every open k at tie_shift -1: entry
-    n_t - k of the profile there, by ``profiles.entries``.  The first grid
-    index whose p-value exceeds alpha is nondecreasing in k, so each round
-    tightens the bounds across k: a running maximum of ``lo``, a reverse
-    running minimum of ``hi``.  The -inf guard (tie_shift +1) and the
+    n_t - k of the profile there, by one ``profiles.entries`` call for
+    every family.  The first grid index whose p-value exceeds alpha is
+    nondecreasing in k, so each round tightens the bounds across the ks of
+    a family: a running maximum of ``lo``, a reverse running minimum of
+    ``hi``.  Family f searches its own index range, above every index of
+    the families before it, so one accumulate serves every family and none
+    crosses into the next.  The -inf guard (tie_shift +1) and the
     closedness (tie_shift 0) are read where the per-k loop reads them: the
-    guard at grid[0] for the first k and after a -inf bound, else at the
-    previous k's index.
+    guard at grid[0] for the first k of a family and after a -inf bound,
+    else at the previous k's index.  So a one-k family reads its guard at
+    grid[0], as a call for that k alone does.
 
     Why the intervals are bit-identical.  Scores are nondecreasing
     (``RankTransform`` enforces it) and survival functions nonincreasing,
@@ -196,36 +213,60 @@ def _invert_treated_family(profiles, dist, alpha, ks):
     between tie_shifts, and each tie_shift is read here exactly where the
     loop reads it.
     """
+    families = list(ks)
+    one = not families or not isinstance(families[0], tuple)
+    if one:
+        families = [(0, families)]
+    sets = np.array([d for d, _ in families], dtype=np.intp)
+    fam_ks = [np.fromiter(k, dtype=np.intp) for _, k in families]
+    counts = np.array([k.size for k in fam_ks], dtype=np.intp)
     grid = profiles.grid
-    ks = np.fromiter(ks, dtype=np.intp)
-    if grid.size == 0:
-        return [UNINFORMATIVE] * ks.size
-    slots = profiles.data.n_t - ks
+    if grid.size == 0 or not counts.any():
+        out = [[UNINFORMATIVE] * k.size for k in fam_ks]
+        return out[0] if one else out
 
-    def above(i, m, tie_shift):
-        return dist.survival(profiles.entries(grid[i], m, tie_shift)) > alpha
+    sizes = np.array([g.size for g in profiles.grids], dtype=np.intp)
+    fam = np.repeat(np.arange(len(families)), counts)   # the family of each row
+    span = sizes[sets]
+    base = np.cumsum(span) - span                       # family f's first index
+    # grid index of family row j's search index i: i + shift[j]
+    shift = ((np.cumsum(sizes) - sizes)[sets] - base)[fam]
+    n_t = profiles.data.n_t
+    slots = sets[fam] * (n_t + 1) + n_t - np.concatenate(fam_ks)
+    rows = np.arange(slots.size)
 
-    at_first = above(np.zeros_like(slots), slots, +1)
+    def above(i, j, tie_shift):
+        return dist.survival(profiles.entries(grid[i + shift[j]], slots[j], tie_shift)) > alpha
+
+    lo = base[fam]
+    at_first = above(lo, rows, +1)
     # a guard that holds at grid[0] holds at every index: bisect the other ks
-    lo = np.zeros(ks.size, dtype=np.intp)
-    hi = np.where(at_first, 0, grid.size - 1)
+    hi = np.where(at_first, lo, lo + span[fam] - 1)
     while (todo := np.flatnonzero(lo < hi)).size:
         mid = (lo[todo] + hi[todo]) // 2
-        hit = above(mid, slots[todo], -1)
+        hit = above(mid, todo, -1)
         hi[todo[hit]] = mid[hit]
         lo[todo[~hit]] = mid[~hit] + 1
         np.maximum.accumulate(lo, out=lo)
         hi = np.minimum.accumulate(hi[::-1])[::-1]
 
     # after a bounded k the loop reads the next guard at that k's index
-    at_prev = above(lo[:-1], slots[1:], +1) if ks.size > 1 else None
+    later = np.ones(rows.size, dtype=bool)
+    later[(np.cumsum(counts) - counts)[counts > 0]] = False
+    later = np.flatnonzero(later)
     bounded = ~at_first
-    for j in range(1, ks.size):
-        if bounded[j - 1]:
-            bounded[j] = not at_prev[j - 1]
-    closed = iter(above(lo[bounded], slots[bounded], 0).tolist())
-    return [OneSidedInterval(float(grid[i]), next(closed)) if b else UNINFORMATIVE
-            for i, b in zip(lo, bounded)]
+    if later.size:
+        guards = above(lo[later - 1], later, +1).tolist()
+        for j, guard in zip(later.tolist(), guards):
+            if bounded[j - 1]:
+                bounded[j] = not guard
+    closed = iter(above(lo[bounded], rows[bounded], 0).tolist())
+    lower = grid[lo + shift].tolist()
+    intervals = [OneSidedInterval(x, next(closed)) if b else UNINFORMATIVE
+                 for x, b in zip(lower, bounded.tolist())]
+    ends = np.cumsum(counts).tolist()
+    out = [intervals[e - k:e] for e, k in zip(ends, counts.tolist())]
+    return out[0] if one else out
 
 
 def _invert_each_k(profiles, dist, alpha, ks):
@@ -249,18 +290,61 @@ def _invert_each_k(profiles, dist, alpha, ks):
     return intervals
 
 
+def _invert_stacks(requests, transforms):
+    """Intervals for each request (stack, dist, alpha, families): every
+    family, an ascending sequence of ks, on every data set of the stack.
+
+    Requests that share the null object and alpha, on one-stratum data
+    sets of one shape, go through one ``_invert_treated_family`` call: a
+    balanced design's two orientations, say, whose nulls are one.  A
+    stratified data set runs alone.  Returns, per request, per data set,
+    the intervals of each family.
+    """
+    groups = {}
+    for i, (stack, dist, alpha, _) in enumerate(requests):
+        d = stack[0]
+        key = (dist, alpha, d.n, d.n_t) if d.n_strata == 1 else i
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(requests)
+    for members in groups.values():
+        stack, families = [], []
+        for i in members:
+            for d in requests[i][0]:
+                families += [(len(stack), ks) for ks in requests[i][3]]
+                stack.append(d)
+        _, dist, alpha, _ = requests[members[0]]
+        found = iter(_invert_treated_family(_ProfileCache(stack, transforms), dist, alpha,
+                                            families))
+        for i in members:
+            width = len(requests[i][3])
+            out[i] = [[next(found) for _ in range(width)] for _ in requests[i][0]]
+    return out
+
+
+def _treated_intervals(stacks, transforms, alpha, dists, mc):
+    """Per stack, per data set: the treated-unit bounds for k = 1..n_t,
+    under the given null or, for None, the stack's own."""
+    requests = [(stack, null_for(stack[0], transforms, mc=mc) if dist is None else dist,
+                 alpha, [range(1, stack[0].n_t + 1)]) for stack, dist in zip(stacks, dists)]
+    return [[fams[0] for fams in found] for found in _invert_stacks(requests, transforms)]
+
+
 def prediction_intervals_treated(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
     """Simultaneous 1-alpha one-sided prediction intervals for the sorted
     effects among treated units, k = 1..n_t.  Nested: bounds nondecreasing
-    in k."""
+    in k.
+
+    ``data`` is one ``ExperimentData``, or a list of one-stratum data sets
+    of one shape, inverted in one bisection: then a list of families.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if dist is None:
-        dist = null_for(data, transforms, mc=mc)
-    ks = range(1, data.n_t + 1)
-    intervals = _invert_treated_family(_ProfileCache(data, transforms), dist, alpha, ks)
-    return IntervalFamily(tuple(zip(ks, intervals)), 1.0 - alpha, True,
-                          "sample-quantiles-treated")
+    stack, one = _stack(data)
+    ks = range(1, stack[0].n_t + 1)
+    families = [IntervalFamily(tuple(zip(ks, intervals)), 1.0 - alpha, True,
+                               "sample-quantiles-treated")
+                for intervals in _treated_intervals([stack], transforms, alpha, [dist], mc)[0]]
+    return families[0] if one else families
 
 
 intervals_scre = prediction_intervals_treated
@@ -269,11 +353,19 @@ intervals_scre = prediction_intervals_treated
 def intervals_from_treated_only(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
     """Simultaneous intervals for all-unit effect quantiles built from one
     orientation only: tau_(n_c + k) is bounded by the k-th treated-effect
-    interval, and quantiles at or below n_c get the whole real line."""
-    fam_t = prediction_intervals_treated(data, transforms, alpha, dist, mc)
-    entries = [(k, UNINFORMATIVE) for k in range(1, data.n_c + 1)]
-    entries += [(data.n_c + k, iv) for k, iv in fam_t.entries]
-    return IntervalFamily(tuple(entries), 1.0 - alpha, True, "sample-quantiles-all")
+    interval, and quantiles at or below n_c get the whole real line.
+
+    Takes one data set or a list, as ``prediction_intervals_treated``.
+    """
+    stack, one = _stack(data)
+    n_c = stack[0].n_c
+    families = []
+    for fam_t in prediction_intervals_treated(stack, transforms, alpha, dist, mc):
+        entries = [(k, UNINFORMATIVE) for k in range(1, n_c + 1)]
+        entries += [(n_c + k, iv) for k, iv in fam_t.entries]
+        families.append(IntervalFamily(tuple(entries), 1.0 - alpha, True,
+                                       "sample-quantiles-all"))
+    return families[0] if one else families
 
 
 def combine_treated_control(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
@@ -283,16 +375,19 @@ def combine_treated_control(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
     Runs the treated-effect prediction intervals on the original data and
     on the label-switched, sign-flipped data (whose individual effects are
     identical), pools the n one-sided intervals by inclusion, and assigns
-    the k-th largest lower bound to the k-th sorted effect.
+    the k-th largest lower bound to the k-th sorted effect.  Takes one data
+    set or a list, as ``prediction_intervals_treated``; a balanced design's
+    two orientations share one bisection.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5): each orientation runs at alpha, "
                          "so the pooled level is 1 - 2*alpha")
-    fam_t = prediction_intervals_treated(data, transforms, alpha, dist, mc)
-    switched = switch_labels_negate(data)
-    fam_c = prediction_intervals_treated(switched, transforms, alpha, None, mc)
-    intervals = [iv for _, iv in fam_t.entries] + [iv for _, iv in fam_c.entries]
-    return pool_one_sided(intervals, "sample-quantiles-all", 1.0 - 2.0 * alpha)
+    stack, one = _stack(data)
+    switched = [switch_labels_negate(d) for d in stack]
+    fam_t, fam_c = _treated_intervals([stack, switched], transforms, alpha, [dist, None], mc)
+    pooled = [pool_one_sided(iv_t + iv_c, "sample-quantiles-all", 1.0 - 2.0 * alpha)
+              for iv_t, iv_c in zip(fam_t, fam_c)]
+    return pooled[0] if one else pooled
 
 
 combine_scre = combine_treated_control

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import NEG_INF
+from .model import NEG_INF, ExperimentData
 from .engine import per_stratum_transforms, statistic, stratified_statistic
 
 
@@ -229,72 +229,116 @@ def _profile_one_treated(data, R, transforms):
     return profile
 
 
-class _ProfileReader:
-    """Entries of one data set's profiles, read in batches by ``entries``.
+def _stack(data):
+    """One ``ExperimentData`` or a list of them as a list, and whether it
+    was one.
 
-    A one-stratum design (every completely randomized one) gathers entries
-    from rankings without building a profile, sorting its outcomes once
-    for the shifted ones.  Other designs read whole profiles by calling the
+    A stack of several holds one-stratum data sets of one shape (n, n_t),
+    which share a null; a stratified design is read alone.
+    """
+    one = isinstance(data, ExperimentData)
+    stack = [data] if one else list(data)
+    if not stack:
+        raise ValueError("no data sets given")
+    if len(stack) > 1:
+        if any(d.n_strata > 1 for d in stack):
+            raise ValueError("stratified data sets are read one at a time, not stacked")
+        if len({(d.n, d.n_t) for d in stack}) > 1:
+            raise ValueError("stacked data sets must share one shape (n, n_t)")
+    return stack, one
+
+
+class _ProfileReader:
+    """Entries of the profiles of a stack of data sets, read in batches by
+    ``entries``.
+
+    The stack is one data set, or one-stratum data sets of one shape (see
+    ``_stack``).  One stratum (every completely randomized design) gathers
+    entries from rankings without building a profile: the ranks of every
+    row of a batch at once, whichever data set the row reads.  Other
+    designs read whole profiles of their one data set by calling the
     reader, which ``stratified._ProfileCache`` memoizes.
     """
 
     def __init__(self, data, transforms):
-        self.data = data
-        self.transforms = per_stratum_transforms(data, transforms)
-        self._n_t = data.n_t
+        self.stack = _stack(data)[0]
+        self.data = self.stack[0]   # the one data set of a stratified reader
+        self.transforms = per_stratum_transforms(self.data, transforms)
+        self._n, self._n_t = self.data.n, self.data.n_t
         # strata read whole profiles
-        self._phi = self.transforms[0].scores(data.n) if data.n_strata == 1 else None
+        self._phi = self.transforms[0].scores(self._n) if self.data.n_strata == 1 else None
+
+    @cached_property
+    def _units(self):
+        """Assignments and outcomes, a row per data set of the stack."""
+        return np.stack([d.z for d in self.stack]), np.stack([d.y for d in self.stack])
 
     @cached_property
     def _sorted_outcomes(self):
-        """Treated and control outcomes, each ascending: read at tie_shift +-1."""
-        z, y = self.data.z, self.data.y
-        return np.sort(y[z == 1]), np.sort(y[z == 0])
+        """Treated and control outcomes, each row ascending: read at tie_shift +-1."""
+        z, y = self._units
+        rows = len(self.stack)
+        return (np.sort(y[z == 1].reshape(rows, -1), axis=1),
+                np.sort(y[z == 0].reshape(rows, -1), axis=1))
 
     def __call__(self, c, tie_shift):
         return min_stat_scre_profile(self.data, self.transforms, c, tie_shift)
 
     def entries(self, c, m, tie_shift):
-        """Entry m[b] of the profile at threshold c[b], for every b (c and
+        """Entry m[b] of the profiles at threshold c[b], for every b (c and
         m broadcast), all at one tie_shift.
 
-        A run of equal thresholds is ranked, or its profile read, once per
-        block of at most ``_COST_BLOCK`` indices, so callers pass
-        thresholds in ascending order.  One stratum gathers and sums each
-        entry as its row of ``_cost_table``, so entries are bit-identical
-        to the table for any score table.
+        The stack's profiles are laid end to end, n_t + 1 entries each:
+        entry m is slot m % (n_t + 1) of data set m // (n_t + 1).  A run of
+        equal (data set, threshold) rows is ranked, or its profile read,
+        once per block of at most ``_COST_BLOCK`` indices, so callers pass
+        each data set's rows together and thresholds in ascending order.
+        One stratum gathers and sums each entry as its row of
+        ``_cost_table``, so entries are bit-identical to the table for any
+        score table.
         """
         c, m = (a.ravel() for a in np.broadcast_arrays(np.asarray(c, dtype=float), m))
+        d, m = np.divmod(m, self._n_t + 1)
         out = np.empty(c.size)
-        rows = max(1, _COST_BLOCK // self._n_t)
+        # ranking at tie_shift 0 sorts all n units of a row
+        rows = max(1, _COST_BLOCK // (self._n if tie_shift == 0 else self._n_t))
         for a in range(0, c.size, rows):
             b = slice(a, a + rows)
-            cb = c[b]
+            cb, db = c[b], d[b]
             new = np.ones(cb.size, dtype=bool)
-            new[1:] = cb[1:] != cb[:-1]
+            new[1:] = (cb[1:] != cb[:-1]) | (db[1:] != db[:-1])
             run = new.cumsum() - 1
             if self._phi is None:
                 profiles = np.stack([self(x, tie_shift) for x in cb[new].tolist()])
                 out[b] = profiles[run, m[b]]
             else:
-                R = self._ranks(cb[new], tie_shift)
+                R = self._ranks(cb[new], db[new], tie_shift)
                 out[b] = self._phi[_entry_indices(R[run], m[b, None])].sum(axis=1)
         return out
 
-    def _ranks(self, c, tie_shift):
-        """Ascending treated ranks of the one stratum, a row per threshold.
+    def _ranks(self, c, d, tie_shift):
+        """Ascending treated ranks of one-stratum data sets d[b] at
+        thresholds c[b], a row per b.
 
-        Row b of ``yt - c[b]`` is the subtraction ``_treated_ranks`` makes,
-        sorted because rounding is monotone, so treated unit p ranks p + 1
-        plus the controls strictly below (tie_shift -1) or at or below (+1)
-        its imputed outcome.  Tie_shift 0 breaks ties by position, by
-        ``_treated_ranks`` itself.
+        Tie_shift 0: one row-wise stable argsort of the imputed outcomes in
+        unit order, the sort ``_treated_ranks`` makes.  Tie_shift +-1: row b
+        of ``yt - c[b]`` is the subtraction ``_treated_ranks`` makes, sorted
+        because rounding is monotone, so treated unit p ranks p + 1 plus the
+        controls of its data set strictly below (tie_shift -1) or at or
+        below (+1) its imputed outcome.
         """
+        z, y = self._units
         if tie_shift == 0:
-            return np.array([_treated_ranks(self.data, x, 0) for x in c])
+            z, y = z[d], y[d]
+            order = np.argsort(np.where(z == 1, y - c[:, None], y), axis=1, kind="stable")
+            treated = np.nonzero(np.take_along_axis(z, order, axis=1) == 1)[1]
+            return treated.reshape(c.size, self._n_t) + 1
         yt, yc = self._sorted_outcomes
         side = "left" if tie_shift < 0 else "right"
-        return np.arange(1, self._n_t + 1) + np.searchsorted(yc, yt - c[:, None], side)
+        cuts = (np.flatnonzero(d[1:] != d[:-1]) + 1).tolist()
+        R = [np.searchsorted(yc[d[a]], yt[d[a]] - c[a:b, None], side)
+             for a, b in zip([0] + cuts, cuts + [d.size])]
+        return np.arange(1, self._n_t + 1) + (R[0] if len(R) == 1 else np.concatenate(R))
 
 
 def min_stat_scre(data, transforms, k, c, tie_shift=0):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qite import DgpSpec, MonteCarloConfig, coverage_audit, generate, tails
+from qite import DgpSpec, MonteCarloConfig, coverage_audit, generate, simulate, stratified, tails
 from qite.model import NEG_INF
 from qite.simulate import gamma_study, method_comparison, rows_to_csv
 
@@ -71,6 +71,32 @@ class TestStudies:
                                  methods=("m0",))
         (row,) = rows
         assert row["median_lower"] == NEG_INF and row["n_informative"] == 0
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.4])
+    def test_one_family_call_per_cell(self, fraction, monkeypatch):
+        # every replicate of a cell goes through one call of each family
+        # function, by the names the simulation imports; a balanced design's
+        # orientations share one bisection, an unbalanced design's take two
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((simulate, "intervals_from_treated_only"),
+                             (simulate, "combine_treated_control"),
+                             (simulate, "simultaneous_cis"),
+                             (stratified, "_invert_treated_family")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        spec = DgpSpec(n=20, treat_fraction=fraction, replications=3, seed=9)
+        method_comparison(spec, rho2s=(0.3, 0.6), quantiles=(0.5, 0.9), s=2, mc=MC)
+        cells = 2
+        for name in ("intervals_from_treated_only", "combine_treated_control",
+                     "simultaneous_cis"):
+            assert calls.count(name) == cells
+        assert calls.count("_invert_treated_family") == cells * (3 if fraction == 0.5 else 5)
 
     def test_gamma_study_zero_vs_positive(self):
         # the zero-budget variant cannot move below the median quantile while
@@ -156,11 +182,15 @@ class TestCoverage:
         with monkeypatch.context() as m:
             m.setattr(tails, "_choose_kprime_multi", per_replicate)
             fresh = coverage_audit(procedure, spec, mc=MC, pop_N=40)
-        assert len(computed) == spec.replications
+        # multi-quantile inverts every replicate in one call, which chooses
+        # the thresholds once; the population procedures choose them per
+        # replicate, and the memo serves all but the first
+        calls = 1 if procedure == "multi-quantile" else spec.replications
+        assert len(computed) == calls
         tails._choose_kprime_multi.cache_clear()
         memoized = coverage_audit(procedure, spec, mc=MC, pop_N=40)
         info = tails._choose_kprime_multi.cache_info()
-        assert (info.misses, info.hits) == (1, spec.replications - 1)
+        assert (info.misses, info.hits) == (1, calls - 1)
         assert memoized == fresh
         assert all(c == computed[0] for c in computed)
 

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qite import (
-    ExperimentData, MonteCarloConfig, RankTransform, combine_scre, intervals_scre,
-    null_for, prediction_intervals_treated, pvalue_all, pvalue_scre,
-    pvalue_sensitivity, sensitivity_curve, stratified_statistic, worst_case_tail,
+    ExperimentData, MonteCarloConfig, RankTransform, ci_single, combine_scre,
+    intervals_from_treated_only, intervals_scre, null_for, prediction_intervals_treated,
+    pvalue_all, pvalue_scre, pvalue_sensitivity, sensitivity_curve, simultaneous_cis,
+    stratified_statistic, worst_case_tail,
 )
 from qite.model import MAX_ABS_OUTCOME, NEG_INF, rng_for
 from qite import engine, stratified, worst_case
@@ -118,14 +119,49 @@ def _score_table(draw, n):
     return RankTransform.from_table(np.cumsum(draw(st.lists(values, min_size=n, max_size=n))))
 
 
+def _draw_outcomes(draw, z, strata=None):
+    """One data set of assignments z: outcomes from one value set, units
+    in a drawn order."""
+    n = z.size
+    values = draw(st.sampled_from([list(range(5)), DECIMALS, [0.5]]))
+    y = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=float)
+    order = list(draw(st.permutations(range(n))))
+    return ExperimentData.from_arrays(z[order], y[order],
+                                      None if strata is None else strata[order])
+
+
+def _stack_families(draw, stack):
+    """Families on a stack, in a drawn order: per data set one ascending
+    family, several independent one-k families, or all ks."""
+    n_t = stack[0].n_t
+    families = []
+    for d in range(len(stack)):
+        kind = draw(st.sampled_from(["one", "independent", "all"]))
+        if kind == "one":
+            ks = draw(st.lists(st.integers(1, n_t), min_size=1, max_size=n_t, unique=True))
+            families.append((d, tuple(sorted(ks))))
+        elif kind == "independent":
+            families += [(d, (k,)) for k in draw(st.lists(st.integers(1, n_t), min_size=1,
+                                                          max_size=4))]
+        else:
+            families.append((d, tuple(range(1, n_t + 1))))
+    return [families[i] for i in draw(st.permutations(range(len(families))))]
+
+
 @st.composite
 def treated_family(draw):
     """A treated-unit family for every design and null: one stratum,
     strata of unequal shape (the allocation DP), matched pairs and larger
     matched sets with one treated unit each (the closed form), under
-    exact, Monte Carlo, pairs and gaussian nulls."""
-    design = draw(st.sampled_from(["cre", "strata", "pairs", "sets"]))
-    if design == "cre":
+    exact, Monte Carlo, pairs and gaussian nulls.  Or a stack of 1-4
+    one-stratum data sets of one shape (n, n_t) with a list of families.
+
+    Returns the data set or the stack, the transform, the null, the ks of
+    one family or the list of (data-set index, ks) families, alpha and the
+    ranking block size.
+    """
+    design = draw(st.sampled_from(["cre", "strata", "pairs", "sets", "stack"]))
+    if design in ("cre", "stack"):
         n_t = draw(st.integers(1, 7))
         shapes = [(n_t + draw(st.integers(1, 7)), n_t)]
     elif design == "strata":
@@ -139,32 +175,33 @@ def treated_family(draw):
         shapes = [(draw(st.sampled_from([3, 4])), 1) for _ in range(draw(st.integers(2, 5)))]
     z = np.concatenate([[1] * n_st + [0] * (n_s - n_st) for n_s, n_st in shapes])
     strata = np.repeat(np.arange(len(shapes)), [n_s for n_s, _ in shapes])
-    n = z.size
-    values = draw(st.sampled_from([list(range(5)), DECIMALS, [0.5]]))
-    y = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=float)
-    order = list(draw(st.permutations(range(n))))
-    data = ExperimentData.from_arrays(z[order], y[order],
-                                      None if design == "cre" else strata[order])
+    if design == "stack":
+        data = [_draw_outcomes(draw, z) for _ in range(draw(st.integers(1, 4)))]
+    else:
+        data = _draw_outcomes(draw, z, None if design == "cre" else strata)
+    first = data[0] if design == "stack" else data
     kind = draw(st.sampled_from(["wilcoxon", "stephenson", "table"]))
     if kind == "wilcoxon":
         transform = RankTransform.wilcoxon()
     elif kind == "stephenson":
         transform = RankTransform.stephenson(draw(st.integers(2, 5)))
     else:
-        transform = _score_table(draw, n)
+        transform = _score_table(draw, z.size)
     null = draw(st.sampled_from({"pairs": ["exact", "mc", "pairs", "gaussian"],
                                  "sets": ["exact", "mc", "gaussian"]}.get(design,
                                                                            ["exact", "mc"])))
     mc = MonteCarloConfig(300, 3)
     if null in ("pairs", "gaussian"):
-        dist = worst_case_tail(data, transform, draw(st.sampled_from([1.0, 1.5, 3.0])),
+        dist = worst_case_tail(first, transform, draw(st.sampled_from([1.0, 1.5, 3.0])),
                                null, mc)
     else:
-        dist = null_for(data, transform, mode=null, mc=mc)
-    if draw(st.booleans()):
-        ks = range(1, data.n_t + 1)
+        dist = null_for(first, transform, mode=null, mc=mc)
+    if design == "stack":
+        ks = _stack_families(draw, data)
+    elif draw(st.booleans()):
+        ks = range(1, first.n_t + 1)
     else:
-        ks = (draw(st.integers(1, data.n_t)),)
+        ks = (draw(st.integers(1, first.n_t)),)
     alpha = draw(st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8]))
     block = draw(st.sampled_from([1, 5, worst_case._COST_BLOCK]))
     return data, transform, dist, ks, alpha, block
@@ -175,8 +212,12 @@ class TestInvertAllK:
     @given(case=treated_family())
     def test_bit_identical_to_per_k_loop(self, case):
         data, transform, dist, ks, alpha, block = case
-        want = stratified._invert_each_k(stratified._ProfileCache(data, transform),
-                                         dist, alpha, ks)
+        # a stack's families, each against the loop on its own data set
+        families = ks if isinstance(data, list) else [(0, ks)]
+        stack = data if isinstance(data, list) else [data]
+        want = [stratified._invert_each_k(stratified._ProfileCache(stack[d], transform),
+                                          dist, alpha, family_ks)
+                for d, family_ks in families]
         original = worst_case._COST_BLOCK
         worst_case._COST_BLOCK = block   # several ranking blocks per round
         try:
@@ -184,7 +225,10 @@ class TestInvertAllK:
                 stratified._ProfileCache(data, transform), dist, alpha, ks)
         finally:
             worst_case._COST_BLOCK = original
-        assert [(iv.lower, iv.closed) for iv in got] == [(iv.lower, iv.closed) for iv in want]
+        if not isinstance(data, list):
+            got = [got]
+        assert [[(iv.lower, iv.closed) for iv in fam] for fam in got] == \
+            [[(iv.lower, iv.closed) for iv in fam] for fam in want]
 
     @pytest.mark.parametrize("z, y, transform", GUARD_SENSITIVE)
     def test_guard_read_where_the_loop_reads_it(self, z, y, transform):
@@ -239,6 +283,72 @@ class TestInvertAllK:
         assert len(calls) <= rounds + 3
         assert calls[0] == +1 and calls[-2:] == [+1, 0]
         assert 20 * len(calls) < per_k
+
+
+def cre_stack(seed, n_t, count=3, n=12):
+    """One-decimal completely randomized data sets of one shape (n, n_t)."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for _ in range(count):
+        z = np.zeros(n, dtype=int)
+        z[rng.permutation(n)[:n_t]] = 1
+        stack.append(ExperimentData.from_arrays(z, np.round(rng.normal(0.0, 1.0, n) + z, 1)))
+    return stack
+
+
+S3 = RankTransform.stephenson(3)
+
+# every family function that takes a list of data sets, at its own alpha
+LIST_FORMS = {
+    "prediction_intervals_treated": lambda data: prediction_intervals_treated(data, S3, 0.2),
+    "intervals_from_treated_only": lambda data: intervals_from_treated_only(data, S3, 0.2),
+    "combine_treated_control": lambda data: combine_scre(data, S3, 0.2),
+    "simultaneous_cis": lambda data: simultaneous_cis(data, S3, [7, 10, 12], 0.4),
+    "simultaneous_cis-sides": lambda data: simultaneous_cis(data, S3, [7, 10, 12], 0.4,
+                                                            combine_sides=True),
+    "ci_single": lambda data: ci_single(data, S3, 10, 0.4),
+}
+
+
+class TestListForm:
+    @pytest.mark.parametrize("name", LIST_FORMS)
+    @pytest.mark.parametrize("n_t", [6, 4])   # balanced, and orientations with two nulls
+    def test_list_equals_per_data_set_calls(self, name, n_t):
+        family = LIST_FORMS[name]
+        stack = cre_stack(n_t, n_t)
+        assert family(stack) == [family(d) for d in stack]
+        assert family(stack[:1]) == [family(stack[0])]
+
+    @pytest.mark.parametrize("name", LIST_FORMS)
+    def test_mixed_shapes_rejected(self, name):
+        with pytest.raises(ValueError, match="one shape"):
+            LIST_FORMS[name](cre_stack(1, 6, 2) + cre_stack(2, 5, 1))
+
+    def test_stratified_data_sets_not_stacked(self):
+        d = random_scre(np.random.default_rng(3), n_strata=2, size_max=4)
+        with pytest.raises(ValueError, match="one at a time"):
+            prediction_intervals_treated([d, d], W, 0.2)
+        assert prediction_intervals_treated([d], W, 0.2) == [
+            prediction_intervals_treated(d, W, 0.2)]
+
+    def test_balanced_orientations_share_one_bisection(self, monkeypatch):
+        calls = []
+        invert = stratified._invert_treated_family
+
+        def counted(*args):
+            calls.append(args)
+            return invert(*args)
+
+        monkeypatch.setattr(stratified, "_invert_treated_family", counted)
+        for n_t, per_orientation in ((6, 1), (4, 2)):
+            stack = cre_stack(7, n_t)
+            for name in ("combine_treated_control", "simultaneous_cis-sides"):
+                calls.clear()
+                LIST_FORMS[name](stack)
+                assert len(calls) == per_orientation, (name, n_t)
+            calls.clear()
+            LIST_FORMS["simultaneous_cis"](stack[0])
+            assert len(calls) == 1
 
 
 class TestIntervalsScre:

@@ -379,23 +379,30 @@ class TestOneStratumProfile:
     @given(case=cre_designs(), data=st.data())
     def test_batched_entries_equal_profile(self, case, data):
         d, tr, c, _ = case
-        # entries at several thresholds, equal ones often repeated, read at
-        # each tie side
+        # d alone or stacked with data sets of its shape; entries at several
+        # thresholds, equal ones often repeated, read at each tie side
+        stack = [d] + [
+            ExperimentData.from_arrays(data.draw(st.permutations(d.z.tolist())),
+                                       data.draw(st.permutations(d.y.tolist())))
+            for _ in range(data.draw(st.integers(0, 3)))]
         size = data.draw(st.integers(1, 8))
-        cs = data.draw(st.lists(st.sampled_from([c, *jump_grid(d).tolist()]), min_size=size,
-                                max_size=size))
+        sets = data.draw(st.lists(st.integers(0, len(stack) - 1), min_size=size,
+                                  max_size=size))
+        cs = [data.draw(st.sampled_from([c, *jump_grid(stack[j]).tolist()])) for j in sets]
         ms = data.draw(st.lists(st.integers(0, d.n_t), min_size=size, max_size=size))
+        # the stack's profiles laid end to end
+        at = [j * (d.n_t + 1) + m for j, m in zip(sets, ms)]
         original = worst_case._COST_BLOCK
         # several ranking and gathering blocks per call
         worst_case._COST_BLOCK = data.draw(st.sampled_from([1, 5, original]))
         try:
-            reader = _ProfileReader(d, tr)
-            got = [reader.entries(cs, ms, side) for side in (-1, 0, 1)]
+            reader = _ProfileReader(d if len(stack) == 1 else stack, tr)
+            got = [reader.entries(cs, at, side) for side in (-1, 0, 1)]
         finally:
             worst_case._COST_BLOCK = original
         for side, at_side in zip((-1, 0, 1), got):
-            for t, c_b, m in zip(at_side, cs, ms):
-                want = min_stat_scre_profile(d, tr, c_b, side)[m]
+            for t, j, c_b, m in zip(at_side, sets, cs, ms):
+                want = min_stat_scre_profile(stack[j], tr, c_b, side)[m]
                 assert float(t).hex() == float(want).hex()
 
     def test_single_label_takes_the_one_stratum_path(self):
