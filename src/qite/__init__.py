@@ -25,7 +25,7 @@ from .engine import (
     stratified_statistic,
     survival,
 )
-from .worst_case import best_allocation, brute_force_min, min_stat_cre, min_stat_scre
+from .worst_case import brute_force_min, min_stat_cre, min_stat_scre
 from .tails import (
     CorrectionSpec,
     choose_kprime_multi,
@@ -47,7 +47,6 @@ from .stratified import (
     combine_scre,
     combine_treated_control,
     intervals_from_treated_only,
-    intervals_scre,
     prediction_intervals_treated,
     pvalue,
     pvalue_scre,

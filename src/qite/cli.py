@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -23,7 +22,7 @@ import time
 from . import __version__
 from .model import (
     MAX_ABS_OUTCOME, DataError, IntervalFamily, MonteCarloConfig, RankTransform,
-    _json_real, load_experiment,
+    _json_real, load_experiment, quantile_index,
 )
 from .cre import band, corrected_pvalue, simultaneous_cis
 from .engine import ExactEnumerationError
@@ -219,7 +218,7 @@ def cmd_quantile_ci(args, data, transform, mc):
         bad = [q for q in args.quantiles if not 0.0 < q <= 1.0]
         if bad:
             raise FlagError(f"quantile levels must lie in (0, 1]: {bad}")
-        ks = sorted({max(1, math.ceil(q * data.n)) for q in args.quantiles})
+        ks = sorted({quantile_index(q, data.n) for q in args.quantiles})
     else:
         ks = list(range(1, data.n + 1))
 

@@ -20,17 +20,13 @@ from .model import (
     switch_labels_negate,
 )
 from .engine import null_for
-from .stratified import PValueResult, _check_threshold, _invert_stacks, jump_grid, pvalue
+from .stratified import PValueResult, _check_threshold, _invert, jump_grid, pvalue
 from .worst_case import _ProfileReader, _stack
 from .tails import choose_kprime_multi, choose_kprime_single, hypergeom_sf
 
 DEFAULT_GAMMA = 0.5
 
 stratified_jump_grid = jump_grid
-
-
-def _resolve_null(data, transform, dist, mc):
-    return dist if dist is not None else null_for(data, transform, mc=mc)
 
 
 def _require_complete(data):
@@ -101,9 +97,8 @@ def ci_single(data, transform, k, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFA
     elif k_prime <= 0:
         found = [SingleCi(UNINFORMATIVE, k, k_prime, corr, alpha_eff)] * len(stack)
     else:
-        dist = _resolve_null(stack[0], transform, dist, mc)
-        found = [SingleCi(fams[0][0], k, k_prime, corr, alpha_eff) for fams in
-                 _invert_stacks([(stack, dist, alpha_eff, [(k_prime,)])], transform)[0]]
+        found = [SingleCi(intervals[0], k, k_prime, corr, alpha_eff) for intervals in
+                 _invert([(d, (k_prime,), dist, alpha_eff) for d in stack], transform, mc)]
     return found[0] if one else found
 
 
@@ -120,7 +115,8 @@ def ci_count(data, transform, c, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFAU
     _require_complete(data)
     _check_threshold(c)
     n, n_t = data.n, data.n_t
-    dist = _resolve_null(data, transform, dist, mc)
+    if dist is None:
+        dist = null_for(data, transform, mc=mc)
     k_primes = [choose_kprime_single(n, n_t, k, alpha, gamma) for k in range(n + 1)]
     entries = _ProfileReader(data, transform).entries(c, [n_t - kp for kp in k_primes], 0)
     k_max = -1
@@ -139,18 +135,19 @@ def simultaneous_cis(data, transform, ks, alpha, gamma=DEFAULT_GAMMA, mc=DEFAULT
     With combine_sides, both orientations run at alpha/2 and each quantile
     keeps the better (larger) lower bound, making the result invariant to
     treatment labeling.  ``data`` is one ``ExperimentData``, or a list of
-    data sets of one shape: then a list of families.
+    data sets of one shape: then a list of families.  The family holds the
+    distinct ks in ascending order, whatever order ``ks`` lists them in.
 
     Each distinct k' is inverted as its own one-k family, which reads its
     -inf guard at grid[0] (a family reads a k's guard at the previous k's
-    bound); every k' of every data set and orientation that share a null
-    and alpha goes through one bisection.
+    bound); every k' of every data set and of a balanced design's two
+    orientations goes through one bisection.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     stack, one = _stack(data)
     _require_complete(stack[0])
-    ks = sorted(int(k) for k in ks)
+    ks = sorted({int(k) for k in ks})
     if combine_sides:
         spec_t, spec_c = corrections if corrections is not None else (None, None)
         sides = [(stack, dist, spec_t),
@@ -166,13 +163,10 @@ def simultaneous_cis(data, transform, ks, alpha, gamma=DEFAULT_GAMMA, mc=DEFAULT
         if spec is None:
             spec = choose_kprime_multi(n, side_stack[0].n_t, ks, alpha_side, gamma)
         alpha_eff = alpha_side - spec.correction
-        k_primes = sorted({kp for kp in spec.k_primes if kp > 0})
-        if alpha_eff > 0.0:
-            side_dist = _resolve_null(side_stack[0], transform, side_dist, mc)
-            if k_primes:
-                requests.append((side_stack, side_dist, alpha_eff, [(kp,) for kp in k_primes]))
+        k_primes = sorted({kp for kp in spec.k_primes if kp > 0}) if alpha_eff > 0.0 else []
+        requests += [(d, (kp,), side_dist, alpha_eff) for d in side_stack for kp in k_primes]
         specs.append((spec, alpha_eff, k_primes))
-    found = iter(_invert_stacks(requests, transform))
+    found = iter(_invert(requests, transform, mc))
 
     families = []   # per orientation, per data set
     for spec, alpha_eff, k_primes in specs:
@@ -180,8 +174,8 @@ def simultaneous_cis(data, transform, ks, alpha, gamma=DEFAULT_GAMMA, mc=DEFAULT
             families.append([_budget_spent(ks, alpha_side, "sample-quantiles-all")] * len(stack))
             continue
         side = []
-        for fams in (next(found) if k_primes else [[]] * len(stack)):
-            by_kp = {kp: iv for kp, (iv,) in zip(k_primes, fams)}
+        for _ in stack:
+            by_kp = {kp: next(found)[0] for kp in k_primes}
             entries = tuple((k, by_kp.get(kp, UNINFORMATIVE)) for k, kp in zip(ks, spec.k_primes))
             side.append(IntervalFamily(entries, 1.0 - alpha_side, True, "sample-quantiles-all"))
         families.append(side)

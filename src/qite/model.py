@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -317,6 +318,13 @@ class QuantileHypothesis:
             raise ValueError(f"unknown scope {self.scope!r}")
         if self.k < 0:
             raise ValueError("quantile index k must be nonnegative")
+
+
+def quantile_index(level, n):
+    """ceil(level * n), the index of the level-quantile of n sorted values,
+    with the level read as the shortest decimal that prints it: 0.55 of 100
+    is 55, where the float product 55.00000000000001 would give 56."""
+    return math.ceil(Fraction(repr(float(level))) * n)
 
 
 @dataclass(frozen=True)

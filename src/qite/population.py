@@ -9,12 +9,11 @@ between the steps, by default evenly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_MC, IntervalFamily, UNINFORMATIVE
+from .model import DEFAULT_MC, IntervalFamily, UNINFORMATIVE, quantile_index
 from .cre import _budget_spent, _step_band
 from .stratified import combine_treated_control, prediction_intervals_treated
 from .tails import _validate_betas, choose_kprime_multi
@@ -80,7 +79,7 @@ def population_cis(data, transforms, target, alpha, mc=DEFAULT_MC, split_gamma=0
         N = target.N
         if N < data.n:
             raise ValueError(f"finite population size {N} smaller than sample {data.n}")
-        ks = [math.ceil(N * b) for b in betas]
+        ks = [quantile_index(b, N) for b in betas]
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("quantile levels collide at this population size")
         spec = choose_kprime_multi(N, m, ks, alpha, split_gamma)

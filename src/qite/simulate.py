@@ -16,11 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import DEFAULT_MC, ExperimentData, NEG_INF, RankTransform, rng_for
+from .model import DEFAULT_MC, ExperimentData, NEG_INF, RankTransform, quantile_index, rng_for
 from .cre import ci_single, simultaneous_cis
 from .population import PopulationTarget, population_cis
 from .stratified import combine_treated_control, intervals_from_treated_only
-from .tails import choose_kprime_multi
 
 _TAG_DGP = 41
 _TAG_POP = 42
@@ -82,15 +81,7 @@ def _quantile_ks(n, quantiles):
     if not quantiles or not all(0.0 < q <= 1.0 for q in quantiles):
         raise ValueError("quantile levels must be a nonempty list in (0, 1], "
                          f"got {list(quantiles)}")
-    return [math.ceil(q * n) for q in quantiles]
-
-
-def _m2_corrections(n, n_t, ks, alpha, gamma):
-    """Per-orientation joint count thresholds; design-only, so computed once
-    per study cell and shared across replications."""
-    spec_t = choose_kprime_multi(n, n_t, ks, alpha / 2.0, gamma)
-    spec_c = choose_kprime_multi(n, n - n_t, ks, alpha / 2.0, gamma)
-    return spec_t, spec_c
+    return [quantile_index(q, n) for q in quantiles]
 
 
 def method_comparison(spec, rho2s=None, quantiles=(0.5, 0.6, 0.7, 0.8, 0.9),
@@ -118,9 +109,8 @@ def method_comparison(spec, rho2s=None, quantiles=(0.5, 0.6, 0.7, 0.8, 0.9),
         if "m1" in methods:
             lowers["m1"] = combine_treated_control(sample, transform, alpha / 2.0, mc=mc)
         if "m2" in methods:
-            corrections = _m2_corrections(cell.n, sample[0].n_t, ks, alpha, gamma)
             lowers["m2"] = simultaneous_cis(sample, transform, ks, alpha, gamma, mc,
-                                            combine_sides=True, corrections=corrections)
+                                            combine_sides=True)
         for method, families in lowers.items():
             mat = np.array([[fam.interval(k).lower for k in ks] for fam in families])
             for qi, q in enumerate(quantiles):
@@ -191,8 +181,8 @@ def coverage_audit(procedure, spec, alpha=0.1, transform=None, mc=DEFAULT_MC,
         y0_pop = pop_rng.normal(0.0, math.sqrt(spec.rho2), pop_N)
         y1_pop = pop_rng.normal(2.0, math.sqrt(1.0 - spec.rho2), pop_N)
         tau_sorted = np.sort(y1_pop - y0_pop)
-        truths = [tau_sorted[math.ceil(pop_N * b) - 1] for b in betas]
         target = PopulationTarget.finite(pop_N, betas)
+        truths = [tau_sorted[quantile_index(b, pop_N) - 1] for b in betas]
 
         def one_rep(r):
             rng = rng_for(spec.seed, _TAG_POP, 1 + r)
@@ -225,7 +215,7 @@ def coverage_audit(procedure, spec, alpha=0.1, transform=None, mc=DEFAULT_MC,
         hits = [_covers_sorted(fam, tau) for fam, tau in zip(families, effects)]
 
     elif procedure == "single-quantile":
-        ks = _quantile_ks(spec.n, quantiles)
+        ks = sorted(set(_quantile_ks(spec.n, quantiles)))
         k_mid = ks[len(ks) // 2]
         sample, effects = _draw_cell(spec)
         results = ci_single(sample, transform, k_mid, alpha, gamma, mc=mc)

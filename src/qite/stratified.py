@@ -9,11 +9,12 @@ minimized statistic is a step function of c whose jumps lie on the
 within-stratum treated-minus-control outcome gaps, so inversion is a
 binary search over that grid with exact evaluation at each grid point and
 at its open limits.  One bisection serves every k of a family at once,
-reading a batch of profile entries per round, and every family of a stack
-of one-stratum data sets of one shape.  A stratified profile
-depends only on the data and the threshold, not on the null, so it is
-memoized per threshold, and a sensitivity curve shares one profile cache
-across its whole Gamma grid.
+reading a batch of profile entries per round, and every family on the
+data sets of one group: one-stratum data sets of one shape, or one
+stratified data set.  Each family carries its own null and alpha.  A
+stratified profile depends only on the data and the threshold, not on the
+null, so it is memoized per threshold, and the families of a sensitivity
+curve's whole Gamma grid share one bisection over one profile cache.
 
 Sensitivity analysis bounds the null survival function over all confounder
 configurations when within-set treatment odds differ by at most Gamma.
@@ -169,29 +170,30 @@ class _ProfileCache(_ProfileReader):
         return self._store[key]
 
 
-def _invert_treated_family(profiles, dist, alpha, ks):
+def _invert_treated_family(profiles, families):
     """One-sided 1-alpha lower bounds for the k-th sorted treated effects:
     the intervals of ``_invert_each_k``, from one bisection over the jump
     grids for every k of every family in rounds of array operations.
 
-    ``ks`` is one family, the ascending ks on the reader's only data set,
-    whose intervals are returned; or a list of independent families, each
-    a pair (data-set index into ``profiles.stack``, ascending ks), whose
-    intervals are returned as a list.  Every family shares ``dist`` and
-    ``alpha``.
+    ``families`` lists independent families, each a tuple (data-set index
+    into ``profiles.stack``, ascending ks, null, alpha); the intervals of
+    each are returned, in order.  Every family reads its p-values from its
+    own null and compares them with its own alpha, so families under
+    several nulls share a data set: every Gamma of a sensitivity curve.
 
     Each round probes the midpoint of every open k at tie_shift -1: entry
     n_t - k of the profile there, by one ``profiles.entries`` call for
-    every family.  The first grid index whose p-value exceeds alpha is
-    nondecreasing in k, so each round tightens the bounds across the ks of
-    a family: a running maximum of ``lo``, a reverse running minimum of
-    ``hi``.  Family f searches its own index range, above every index of
-    the families before it, so one accumulate serves every family and none
-    crosses into the next.  The -inf guard (tie_shift +1) and the
-    closedness (tie_shift 0) are read where the per-k loop reads them: the
-    guard at grid[0] for the first k of a family and after a -inf bound,
-    else at the previous k's index.  So a one-k family reads its guard at
-    grid[0], as a call for that k alone does.
+    every family, and one survival call per distinct null.  The first grid
+    index whose p-value exceeds alpha is nondecreasing in k, so each round
+    tightens the bounds across the ks of a family: a running maximum of
+    ``lo``, a reverse running minimum of ``hi``.  Family f searches its own
+    index range, above every index of the families before it, so one
+    accumulate serves every family and none crosses into the next.  The
+    -inf guard (tie_shift +1) and the closedness (tie_shift 0) are read
+    where the per-k loop reads them: the guard at grid[0] for the first k
+    of a family and after a -inf bound, else at the previous k's index.  So
+    a one-k family reads its guard at grid[0], as a call for that k alone
+    does.
 
     Why the intervals are bit-identical.  Scores are nondecreasing
     (``RankTransform`` enforces it) and survival functions nonincreasing,
@@ -213,17 +215,13 @@ def _invert_treated_family(profiles, dist, alpha, ks):
     between tie_shifts, and each tie_shift is read here exactly where the
     loop reads it.
     """
-    families = list(ks)
-    one = not families or not isinstance(families[0], tuple)
-    if one:
-        families = [(0, families)]
-    sets = np.array([d for d, _ in families], dtype=np.intp)
-    fam_ks = [np.fromiter(k, dtype=np.intp) for _, k in families]
+    sets, fam_ks, dists, alphas = zip(*families)
+    sets = np.array(sets, dtype=np.intp)
+    fam_ks = [np.fromiter(k, dtype=np.intp) for k in fam_ks]
     counts = np.array([k.size for k in fam_ks], dtype=np.intp)
     grid = profiles.grid
     if grid.size == 0 or not counts.any():
-        out = [[UNINFORMATIVE] * k.size for k in fam_ks]
-        return out[0] if one else out
+        return [[UNINFORMATIVE] * k.size for k in fam_ks]
 
     sizes = np.array([g.size for g in profiles.grids], dtype=np.intp)
     fam = np.repeat(np.arange(len(families)), counts)   # the family of each row
@@ -234,9 +232,17 @@ def _invert_treated_family(profiles, dist, alpha, ks):
     n_t = profiles.data.n_t
     slots = sets[fam] * (n_t + 1) + n_t - np.concatenate(fam_ks)
     rows = np.arange(slots.size)
+    alphas = np.array(alphas, dtype=float)[fam]
+    index = {}   # each distinct null's position, in order of first use
+    null_of = np.array([index.setdefault(id(d), len(index)) for d in dists])[fam]
+    nulls = list({id(d): d for d in dists}.values())
 
     def above(i, j, tie_shift):
-        return dist.survival(profiles.entries(grid[i + shift[j]], slots[j], tie_shift)) > alpha
+        p = profiles.entries(grid[i + shift[j]], slots[j], tie_shift)
+        for g, dist in enumerate(nulls):
+            own = null_of[j] == g
+            p[own] = dist.survival(p[own])
+        return p > alphas[j]
 
     lo = base[fam]
     at_first = above(lo, rows, +1)
@@ -265,8 +271,7 @@ def _invert_treated_family(profiles, dist, alpha, ks):
     intervals = [OneSidedInterval(x, next(closed)) if b else UNINFORMATIVE
                  for x, b in zip(lower, bounded.tolist())]
     ends = np.cumsum(counts).tolist()
-    out = [intervals[e - k:e] for e, k in zip(ends, counts.tolist())]
-    return out[0] if one else out
+    return [intervals[e - k:e] for e, k in zip(ends, counts.tolist())]
 
 
 def _invert_each_k(profiles, dist, alpha, ks):
@@ -290,43 +295,34 @@ def _invert_each_k(profiles, dist, alpha, ks):
     return intervals
 
 
-def _invert_stacks(requests, transforms):
-    """Intervals for each request (stack, dist, alpha, families): every
-    family, an ascending sequence of ks, on every data set of the stack.
+def _invert(requests, transforms, mc=DEFAULT_MC):
+    """The treated-unit intervals of each request (data set, ascending ks,
+    null or None, alpha): one interval per k.
 
-    Requests that share the null object and alpha, on one-stratum data
-    sets of one shape, go through one ``_invert_treated_family`` call: a
-    balanced design's two orientations, say, whose nulls are one.  A
-    stratified data set runs alone.  Returns, per request, per data set,
-    the intervals of each family.
+    Requests are grouped by their data alone.  One-stratum data sets of one
+    shape (n, n_t) share one ``_ProfileCache`` and one bisection, as do all
+    the requests on one stratified data set, such as every Gamma of a
+    sensitivity curve.  A None null is the data set's own, from
+    ``null_for``, which is the same for every data set of a group.
     """
     groups = {}
-    for i, (stack, dist, alpha, _) in enumerate(requests):
-        d = stack[0]
-        key = (dist, alpha, d.n, d.n_t) if d.n_strata == 1 else i
-        groups.setdefault(key, []).append(i)
+    for i, (d, *_) in enumerate(requests):
+        groups.setdefault((d.n, d.n_t) if d.n_strata == 1 else id(d), []).append(i)
     out = [None] * len(requests)
     for members in groups.values():
-        stack, families = [], []
+        stack, sets, families, own = [], {}, [], None
         for i in members:
-            for d in requests[i][0]:
-                families += [(len(stack), ks) for ks in requests[i][3]]
+            d, ks, dist, alpha = requests[i]
+            if id(d) not in sets:
+                sets[id(d)] = len(stack)
                 stack.append(d)
-        _, dist, alpha, _ = requests[members[0]]
-        found = iter(_invert_treated_family(_ProfileCache(stack, transforms), dist, alpha,
-                                            families))
-        for i in members:
-            width = len(requests[i][3])
-            out[i] = [[next(found) for _ in range(width)] for _ in requests[i][0]]
+            if dist is None:
+                dist = own = own or null_for(d, transforms, mc=mc)
+            families.append((sets[id(d)], ks, dist, alpha))
+        found = _invert_treated_family(_ProfileCache(stack, transforms), families)
+        for i, intervals in zip(members, found):
+            out[i] = intervals
     return out
-
-
-def _treated_intervals(stacks, transforms, alpha, dists, mc):
-    """Per stack, per data set: the treated-unit bounds for k = 1..n_t,
-    under the given null or, for None, the stack's own."""
-    requests = [(stack, null_for(stack[0], transforms, mc=mc) if dist is None else dist,
-                 alpha, [range(1, stack[0].n_t + 1)]) for stack, dist in zip(stacks, dists)]
-    return [[fams[0] for fams in found] for found in _invert_stacks(requests, transforms)]
 
 
 def prediction_intervals_treated(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
@@ -343,11 +339,8 @@ def prediction_intervals_treated(data, transforms, alpha, dist=None, mc=DEFAULT_
     ks = range(1, stack[0].n_t + 1)
     families = [IntervalFamily(tuple(zip(ks, intervals)), 1.0 - alpha, True,
                                "sample-quantiles-treated")
-                for intervals in _treated_intervals([stack], transforms, alpha, [dist], mc)[0]]
+                for intervals in _invert([(d, ks, dist, alpha) for d in stack], transforms, mc)]
     return families[0] if one else families
-
-
-intervals_scre = prediction_intervals_treated
 
 
 def intervals_from_treated_only(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
@@ -384,9 +377,10 @@ def combine_treated_control(data, transforms, alpha, dist=None, mc=DEFAULT_MC):
                          "so the pooled level is 1 - 2*alpha")
     stack, one = _stack(data)
     switched = [switch_labels_negate(d) for d in stack]
-    fam_t, fam_c = _treated_intervals([stack, switched], transforms, alpha, [dist, None], mc)
+    found = _invert([(d, range(1, d.n_t + 1), dist, alpha) for d in stack]
+                    + [(d, range(1, d.n_t + 1), None, alpha) for d in switched], transforms, mc)
     pooled = [pool_one_sided(iv_t + iv_c, "sample-quantiles-all", 1.0 - 2.0 * alpha)
-              for iv_t, iv_c in zip(fam_t, fam_c)]
+              for iv_t, iv_c in zip(found[:len(stack)], found[len(stack):])]
     return pooled[0] if one else pooled
 
 
@@ -478,23 +472,11 @@ def pvalue_sensitivity(data, transforms, k, c, gamma_bound, mode="pairs",
 
 
 def sensitivity_intervals(data, transforms, alpha, gamma_bound, mode="pairs",
-                          mc=DEFAULT_MC, profiles=None):
+                          mc=DEFAULT_MC):
     """Simultaneous 1-alpha prediction intervals for sorted effects among
-    treated units under the Gamma sensitivity model.
-
-    ``profiles`` is an optional ``_ProfileCache`` for the same data and
-    transforms, shared by calls that differ only in Gamma.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    _require_matched(data, pairs_only=(mode == "pairs"))
-    dist = worst_case_tail(data, transforms, gamma_bound, mode, mc)
-    if profiles is None:
-        profiles = _ProfileCache(data, transforms)
-    ks = range(1, data.n_t + 1)
-    intervals = _invert_treated_family(profiles, dist, alpha, ks)
-    return IntervalFamily(tuple(zip(ks, intervals)), 1.0 - alpha, True,
-                          f"sample-quantiles-treated(gamma={float(gamma_bound)})")
+    treated units under the Gamma sensitivity model: the one-Gamma
+    ``sensitivity_curve``."""
+    return sensitivity_curve(data, transforms, alpha, [gamma_bound], mode, mc).families[0]
 
 
 @dataclass(frozen=True)
@@ -512,15 +494,20 @@ class SensitivityCurve:
 
 def sensitivity_curve(data, transforms, alpha, gammas, mode="pairs", mc=DEFAULT_MC):
     """Interval families across a Gamma grid plus, per quantile, the largest
-    Gamma whose interval still excludes zero."""
+    Gamma whose interval still excludes zero.  Every Gamma's family is
+    inverted in one bisection over the data's one profile cache."""
     gammas = tuple(sorted(float(g) for g in gammas))
     if not gammas:
         raise ValueError("the Gamma grid is empty")
-    profiles = _ProfileCache(data, transforms)
-    families = tuple(
-        sensitivity_intervals(data, transforms, alpha, g, mode, mc, profiles)
-        for g in gammas
-    )
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    _require_matched(data, pairs_only=(mode == "pairs"))
+    ks = range(1, data.n_t + 1)
+    found = _invert([(data, ks, worst_case_tail(data, transforms, g, mode, mc), alpha)
+                     for g in gammas], transforms, mc)
+    families = tuple(IntervalFamily(tuple(zip(ks, intervals)), 1.0 - alpha, True,
+                                    f"sample-quantiles-treated(gamma={g})")
+                     for g, intervals in zip(gammas, found))
     # each family's intervals by target index, read once
     by_k = [dict(fam.entries) for fam in families]
     thresholds = []

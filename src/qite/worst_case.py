@@ -153,10 +153,9 @@ def _allocation_dp(tables, n_t):
     """Min-plus DP over per-stratum cost tables.
 
     Stage s holds, for each u, the minimum of f_1(m_1) + ... + f_s(m_s)
-    over m_1 + ... + m_s <= u (capped at n_t slots); returns every stage.
-    No convexity of f_s is assumed.
+    over m_1 + ... + m_s <= u (capped at n_t slots); returns the last
+    stage.  No convexity of f_s is assumed.
     """
-    stages = []
     dp = np.zeros(1)
     for f in tables:
         n_st = f.size - 1
@@ -168,8 +167,7 @@ def _allocation_dp(tables, n_t):
             if hi > 0:
                 np.minimum(dp[m:m + hi], prev[:hi] + f[m], out=dp[m:m + hi])
         np.minimum.accumulate(dp, out=dp)
-        stages.append(dp)
-    return stages
+    return dp
 
 
 def min_stat_scre_profile(data, transforms, c, tie_shift=0):
@@ -180,8 +178,8 @@ def min_stat_scre_profile(data, transforms, c, tie_shift=0):
     Every design is ranked once, by ``_treated_ranks``.  One stratum
     (including a completely randomized design) gets its cost table, which
     ``_ProfileReader.entries`` reads entry by entry without building it;
-    one treated unit per stratum gets a closed form; otherwise the last
-    stage of ``_allocation_dp`` over the per-stratum cost tables, exact
+    one treated unit per stratum gets a closed form; otherwise
+    ``_allocation_dp`` over the per-stratum cost tables, exact
     within-stratum statistics, is the profile.  f_s is nonincreasing in m,
     so the minimum at capacity u is attained using all u slots and the
     profile itself is nonincreasing.
@@ -192,7 +190,7 @@ def min_stat_scre_profile(data, transforms, c, tie_shift=0):
         return _cost_table(R, transforms[0].scores(data.n))
     if data.n_t == data.n_strata:   # each stratum holds at least one treated unit
         return _profile_one_treated(data, R, transforms)
-    return _allocation_dp(_cost_tables(data, R, transforms), data.n_t)[-1]
+    return _allocation_dp(_cost_tables(data, R, transforms), data.n_t)
 
 
 def _profile_one_treated(data, R, transforms):
@@ -352,31 +350,6 @@ def min_stat_scre(data, transforms, k, c, tie_shift=0):
 
 
 min_stat_cre = min_stat_scre
-
-
-def best_allocation(data, transforms, k, c, tie_shift=0):
-    """Optimal per-stratum slot counts (m_1..m_S) and the achieved minimum,
-    traced back through the stages of ``_allocation_dp``."""
-    n = data.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}]")
-    transforms = per_stratum_transforms(data, transforms)
-    tables = _cost_tables(data, _treated_ranks(data, c, tie_shift), transforms)
-    stages = _allocation_dp(tables, data.n_t)
-    u = min(n - k, data.n_t)
-    value = stages[-1][u]
-    path = []
-    # stage s at u is prev[min(u - m, top)] + f_s(m) for some m, summed in
-    # the same order; the first m that reproduces it is an optimal choice
-    for s in range(len(tables) - 1, -1, -1):
-        prev = stages[s - 1] if s else np.zeros(1)
-        f = tables[s]
-        target = stages[s][u]
-        m = next(m for m in range(min(u, f.size - 1) + 1)
-                 if prev[min(u - m, prev.size - 1)] + f[m] == target)
-        path.append(m)
-        u = min(u - m, prev.size - 1)
-    return float(value), tuple(reversed(path))
 
 
 def brute_force_min(data, transforms, scope, k, c, tie_shift=0, max_configs=300_000):

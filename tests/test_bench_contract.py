@@ -44,7 +44,6 @@ TRACE_NAMES = (
     ("qite.cre", "choose_kprime_single"),
     ("qite.cre", "choose_kprime_multi"),
     ("qite.population", "choose_kprime_multi"),
-    ("qite.simulate", "choose_kprime_multi"),
     ("qite.cli", "sensitivity_curve"),
     ("qite.stratified", "worst_case_tail"),
     ("qite.cli", "population_cis"),

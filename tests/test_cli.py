@@ -93,6 +93,28 @@ class TestQuantileCi:
         fam = json.loads(open(prefix + ".json").read())
         assert [e["index"] for e in fam["entries"]] == [4, 6, 8]
 
+    @pytest.mark.parametrize("method", ["m0", "m1", "m2"])
+    @pytest.mark.parametrize("levels", ["0.75,0.5", "0.5,0.5", "1,0.5,0.75,0.5"])
+    def test_unsorted_and_repeated_quantiles(self, toy_csv, tmp_path, method, levels):
+        # the family of the sorted distinct levels
+        base = ["quantile-ci", "--data", toy_csv, "--method", method, "--alpha", "0.2",
+                "--seed", "2", "--mc-draws", "2000"]
+        code, prefix = run_cli(base + ["--quantiles", levels], tmp_path)
+        assert code == 0
+        distinct = ",".join(sorted(set(levels.split(",")), key=float))
+        _, want = run_cli(base + ["--quantiles", distinct], tmp_path, "distinct")
+        assert open(prefix + ".json").read() == open(want + ".json").read()
+
+    def test_level_read_as_decimal(self, tmp_path):
+        # 0.55 * 100 is 55.00000000000001 in floats: the index is still 55
+        p = tmp_path / "n100.csv"
+        p.write_text("z,y\n" + "".join(f"{i % 2},{i / 10}\n" for i in range(100)))
+        code, prefix = run_cli(
+            ["quantile-ci", "--data", str(p), "--method", "m1", "--quantiles", "0.55",
+             "--seed", "2", "--mc-draws", "2000"], tmp_path)
+        assert code == 0
+        assert [e["index"] for e in json.loads(open(prefix + ".json").read())["entries"]] == [55]
+
     def test_m2_band_steps_over_every_index(self, toy_csv, tmp_path):
         code, prefix = run_cli(
             ["quantile-ci", "--data", toy_csv, "--method", "m2", "--quantiles", "0.625,1",
@@ -412,6 +434,24 @@ class TestSimulateCmd:
              "--quantiles", "0.25,0.5"], tmp_path)
         assert code == 0
         assert seen == [(0.25, 0.5)]
+
+    @pytest.mark.parametrize("levels", ["0.9,0.5", "0.5,0.5", "0.9,0.5,0.9"])
+    @pytest.mark.parametrize("study", [
+        ("--study", "method-comparison"), ("--study", "gamma", "--gamma-grid", "0.5"),
+        ("--study", "coverage", "--procedure", "multi-quantile"),
+        ("--study", "coverage", "--procedure", "single-quantile")])
+    def test_unsorted_and_repeated_quantiles(self, tmp_path, study, levels):
+        base = ["simulate", *study, "--n", "20", "--replications", "2", "--s", "2",
+                "--seed", "3", "--mc-draws", "2000"]
+        code, prefix = run_cli(base + ["--quantiles", levels], tmp_path)
+        assert code == 0
+        if study[1] == "method-comparison":
+            # the rows of the sorted distinct levels, one per method and listed level
+            _, sorted_prefix = run_cli(base + ["--quantiles", "0.5,0.9"], tmp_path, "sorted")
+            rows = open(prefix + ".csv").read().splitlines()[1:]
+            want = open(sorted_prefix + ".csv").read().splitlines()[1:]
+            pcts = [str(round(float(q) * 100)) for q in levels.split(",")]
+            assert set(rows) <= set(want) and [r.split(",")[1] for r in rows] == pcts * 3
 
     @pytest.mark.parametrize("study", ["method-comparison", "coverage"])
     def test_zero_replications_is_flag_error(self, tmp_path, capsys, study):

@@ -11,7 +11,7 @@ from qite import (
     DataError, ExperimentData, IntervalFamily, MonteCarloConfig, OneSidedInterval,
     RankTransform, load_experiment, switch_labels_negate,
 )
-from qite.model import NEG_INF, pool_one_sided
+from qite.model import NEG_INF, pool_one_sided, quantile_index
 
 
 class TestLoadExperiment:
@@ -127,6 +127,19 @@ class TestMonteCarloConfig:
     def test_positive_draws(self):
         with pytest.raises(ValueError):
             MonteCarloConfig(0, 1)
+
+
+class TestQuantileIndex:
+    @pytest.mark.parametrize("n", [20, 40, 100, 233, 1000, 5000])
+    def test_levels_read_as_decimals(self, n):
+        # the float product rounds the wrong way at some levels: 0.55 * 100
+        # is 55.00000000000001 and 0.14 * 5000 is 700.0000000000001
+        for j in range(1, 101):
+            assert quantile_index(j / 100, n) == -(-j * n // 100), (j, n)
+
+    def test_known_float_misses(self):
+        assert (quantile_index(0.55, 100), quantile_index(0.14, 5000)) == (55, 700)
+        assert math.ceil(0.55 * 100) == 56
 
 
 class TestIntervals:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qite import (
     ExperimentData, MonteCarloConfig, RankTransform, ci_single, combine_scre,
-    intervals_from_treated_only, intervals_scre, null_for, prediction_intervals_treated,
+    intervals_from_treated_only, null_for, prediction_intervals_treated,
     pvalue_all, pvalue_scre, pvalue_sensitivity, sensitivity_curve, simultaneous_cis,
     stratified_statistic, worst_case_tail,
 )
@@ -148,17 +148,31 @@ def _stack_families(draw, stack):
     return [families[i] for i in draw(st.permutations(range(len(families))))]
 
 
+def _draw_null(draw, design, first, transform):
+    """A null that the design's families may carry: exact or Monte Carlo,
+    or for matched sets a pairs or gaussian sensitivity null."""
+    null = draw(st.sampled_from({"pairs": ["exact", "mc", "pairs", "gaussian"],
+                                 "sets": ["exact", "mc", "gaussian"]}.get(design,
+                                                                           ["exact", "mc"])))
+    mc = MonteCarloConfig(300, 3)
+    if null in ("pairs", "gaussian"):
+        return worst_case_tail(first, transform, draw(st.sampled_from([1.0, 1.5, 3.0])),
+                               null, mc)
+    return null_for(first, transform, mode=null, mc=mc)
+
+
 @st.composite
 def treated_family(draw):
-    """A treated-unit family for every design and null: one stratum,
+    """Treated-unit families for every design and null: one stratum,
     strata of unequal shape (the allocation DP), matched pairs and larger
     matched sets with one treated unit each (the closed form), under
-    exact, Monte Carlo, pairs and gaussian nulls.  Or a stack of 1-4
-    one-stratum data sets of one shape (n, n_t) with a list of families.
+    exact, Monte Carlo, pairs and gaussian nulls.  One data set carries
+    1-3 families, all ks or one k each; or a stack of 1-4 one-stratum data
+    sets of one shape (n, n_t) carries a list of families.  Every family
+    draws its own null and alpha.
 
-    Returns the data set or the stack, the transform, the null, the ks of
-    one family or the list of (data-set index, ks) families, alpha and the
-    ranking block size.
+    Returns the data set or the stack, the transform, the list of
+    (data-set index, ks, null, alpha) families and the ranking block size.
     """
     design = draw(st.sampled_from(["cre", "strata", "pairs", "sets", "stack"]))
     if design in ("cre", "stack"):
@@ -187,46 +201,37 @@ def treated_family(draw):
         transform = RankTransform.stephenson(draw(st.integers(2, 5)))
     else:
         transform = _score_table(draw, z.size)
-    null = draw(st.sampled_from({"pairs": ["exact", "mc", "pairs", "gaussian"],
-                                 "sets": ["exact", "mc", "gaussian"]}.get(design,
-                                                                           ["exact", "mc"])))
-    mc = MonteCarloConfig(300, 3)
-    if null in ("pairs", "gaussian"):
-        dist = worst_case_tail(first, transform, draw(st.sampled_from([1.0, 1.5, 3.0])),
-                               null, mc)
-    else:
-        dist = null_for(first, transform, mode=null, mc=mc)
     if design == "stack":
-        ks = _stack_families(draw, data)
-    elif draw(st.booleans()):
-        ks = range(1, first.n_t + 1)
+        families = _stack_families(draw, data)
     else:
-        ks = (draw(st.integers(1, first.n_t)),)
-    alpha = draw(st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8]))
+        families = [(0, range(1, first.n_t + 1) if draw(st.booleans())
+                     else (draw(st.integers(1, first.n_t)),))
+                    for _ in range(draw(st.integers(1, 3)))]
+    alphas = st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8])
+    families = [(d, ks, _draw_null(draw, design, first, transform), draw(alphas))
+                for d, ks in families]
     block = draw(st.sampled_from([1, 5, worst_case._COST_BLOCK]))
-    return data, transform, dist, ks, alpha, block
+    return data, transform, families, block
 
 
 class TestInvertAllK:
     @settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @given(case=treated_family())
     def test_bit_identical_to_per_k_loop(self, case):
-        data, transform, dist, ks, alpha, block = case
-        # a stack's families, each against the loop on its own data set
-        families = ks if isinstance(data, list) else [(0, ks)]
+        data, transform, families, block = case
+        # every family, under its own null and alpha, against the loop on
+        # its own data set
         stack = data if isinstance(data, list) else [data]
         want = [stratified._invert_each_k(stratified._ProfileCache(stack[d], transform),
-                                          dist, alpha, family_ks)
-                for d, family_ks in families]
+                                          dist, alpha, ks)
+                for d, ks, dist, alpha in families]
         original = worst_case._COST_BLOCK
         worst_case._COST_BLOCK = block   # several ranking blocks per round
         try:
             got = stratified._invert_treated_family(
-                stratified._ProfileCache(data, transform), dist, alpha, ks)
+                stratified._ProfileCache(data, transform), families)
         finally:
             worst_case._COST_BLOCK = original
-        if not isinstance(data, list):
-            got = [got]
         assert [[(iv.lower, iv.closed) for iv in fam] for fam in got] == \
             [[(iv.lower, iv.closed) for iv in fam] for fam in want]
 
@@ -240,8 +245,8 @@ class TestInvertAllK:
         ks = range(1, d.n_t + 1)
         for alpha in (0.2, 0.5):
             assert stratified._invert_treated_family(
-                stratified._ProfileCache(d, transform), dist, alpha, ks
-            ) == stratified._invert_each_k(
+                stratified._ProfileCache(d, transform), [(0, ks, dist, alpha)]
+            )[0] == stratified._invert_each_k(
                 stratified._ProfileCache(d, transform), dist, alpha, ks)
 
     def test_bit_identical_on_teacher_shaped_data(self):
@@ -251,8 +256,8 @@ class TestInvertAllK:
             for alpha in (0.05, 0.2):
                 ks = range(1, d.n_t + 1)
                 assert stratified._invert_treated_family(
-                    stratified._ProfileCache(d, transform), dist, alpha, ks
-                ) == stratified._invert_each_k(
+                    stratified._ProfileCache(d, transform), [(0, ks, dist, alpha)]
+                )[0] == stratified._invert_each_k(
                     stratified._ProfileCache(d, transform), dist, alpha, ks)
 
     def test_fewer_profiles_than_per_k_loop(self, monkeypatch):
@@ -276,7 +281,7 @@ class TestInvertAllK:
         stratified._invert_each_k(profiles, dist, 0.05, ks)
         per_k = len(calls)
         calls.clear()
-        stratified._invert_treated_family(profiles, dist, 0.05, ks)
+        stratified._invert_treated_family(profiles, [(0, ks, dist, 0.05)])
         # one batch of entries per bisection round, two for the -inf guards
         # and one for the closedness
         rounds = math.ceil(math.log2(profiles.grid.size))
@@ -358,7 +363,7 @@ class TestIntervalsScre:
             flat = random_cre(rng, n_max=8)
             strat = ExperimentData.from_arrays(flat.z, flat.y, ["s"] * flat.n)
             a = prediction_intervals_treated(flat, W, 0.3)
-            b = intervals_scre(strat, W, 0.3)
+            b = prediction_intervals_treated(strat, W, 0.3)
             assert [(k, iv.lower, iv.closed) for k, iv in a.entries] == \
                 [(k, iv.lower, iv.closed) for k, iv in b.entries]
 
@@ -381,13 +386,13 @@ class TestIntervalsScre:
             [1, 0, 1, 0, 0], [3.0, 1.0, 5.0, 6.0, 4.0], ["a", "a", "b", "b", "b"])
         shifted = ExperimentData.from_arrays(
             d.z, d.y + np.where(np.asarray(d.strata) == 0, 100.0, -50.0), d.strata)
-        a = intervals_scre(d, W, 0.3)
-        b = intervals_scre(shifted, W, 0.3)
+        a = prediction_intervals_treated(d, W, 0.3)
+        b = prediction_intervals_treated(shifted, W, 0.3)
         assert [iv.lower for _, iv in a.entries] == [iv.lower for _, iv in b.entries]
 
     def test_nested_and_simultaneous(self):
         d = random_scre(np.random.default_rng(5), n_strata=3, size_max=4)
-        fam = intervals_scre(d, W, 0.2)
+        fam = prediction_intervals_treated(d, W, 0.2)
         assert fam.is_nested() and fam.simultaneous
 
     def test_combined_level(self):
@@ -404,7 +409,7 @@ class TestIntervalsScre:
         st = np.repeat(np.arange(S), 3)
         y = np.round(rng.normal(2.0, 1.0, 3 * S) + (z == 1) * rng.normal(1.2, 0.5, 3 * S), 2)
         d = ExperimentData.from_arrays(z, y, st)
-        fam = intervals_scre(d, W, 0.1, mc=MC)
+        fam = prediction_intervals_treated(d, W, 0.1, mc=MC)
         assert fam.is_nested()
         assert sum(iv.lower > NEG_INF for _, iv in fam.entries) > 0
 
@@ -563,7 +568,7 @@ class TestSensitivityCurve:
     def test_gamma_grid_one_reduces_to_scre_intervals(self):
         d = pairs_data(15, S=5)
         curve = sensitivity_curve(d, W, 0.2, [1.0], mode="pairs")
-        direct = intervals_scre(d, W, 0.2)
+        direct = prediction_intervals_treated(d, W, 0.2)
         fam = curve.family(1.0)
         assert [(iv.lower, iv.closed) for _, iv in fam.entries] == \
             [(iv.lower, iv.closed) for _, iv in direct.entries]
@@ -612,6 +617,20 @@ class TestSensitivityCurve:
         for g in gammas:
             sensitivity_intervals(d, W, 0.2, g, mode="pairs")
         assert len(calls) > len(set(calls))
+
+    @pytest.mark.parametrize("mode", ["pairs", "gaussian"])
+    def test_curve_is_one_bisection(self, mode, monkeypatch):
+        # every Gamma's family rides in one call, each under its own null
+        calls = []
+        invert = stratified._invert_treated_family
+
+        def counted(profiles, families):
+            calls.append(len({id(dist) for _, _, dist, _ in families}))
+            return invert(profiles, families)
+
+        monkeypatch.setattr(stratified, "_invert_treated_family", counted)
+        sensitivity_curve(pairs_data(17, S=8), W, 0.2, [1.0, 1.5, 2.5, 5.0], mode=mode)
+        assert calls == [4]
 
     def test_zero_exclusion_reads_each_family_by_index(self):
         rng = np.random.default_rng(22)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from qite import ExperimentData, RankTransform, min_stat_cre, min_stat_scre, ranks
 from qite.cre import jump_grid, stratified_jump_grid
 from qite.worst_case import (
-    _ProfileReader, _cost_table, _cost_table_direct, _treated_ranks, best_allocation,
-    brute_force_min, enumerate_allocations_min, min_stat_scre_profile,
+    _ProfileReader, _cost_table, _cost_table_direct, _treated_ranks, brute_force_min,
+    enumerate_allocations_min, min_stat_scre_profile,
 )
 from qite import worst_case
 
@@ -153,23 +153,6 @@ class TestMinStatScre:
                         u = min(d.n - k, d.n_t)
                         assert shared[u] == enumerate_allocations_min(d, S3, k, c, shift)
                         assert grouped[u] == enumerate_allocations_min(d, mixed, k, c, shift)
-
-    def test_best_allocation_feasible_and_optimal(self):
-        rng = np.random.default_rng(12)
-        for i in range(40):
-            d = random_scre(rng, n_strata=2 + i % 3, size_max=4)
-            k = int(rng.integers(0, d.n + 1))
-            c = float(rng.choice([-1.0, 0.0, 1.5]))
-            val, alloc = best_allocation(d, W, k, c)
-            sizes = d.stratum_sizes()
-            assert len(alloc) == len(sizes)
-            assert sum(alloc) <= min(d.n - k, d.n_t)
-            assert all(0 <= m <= nst for m, (_, nst) in zip(alloc, sizes))
-            tables = [_cost_table_direct(d.z[idx], d.y[idx], W, c, 0)
-                      for idx in d.stratum_members()]
-            assert sum(f[m] for f, m in zip(tables, alloc)) == val
-            assert val == min_stat_scre(d, W, k, c)
-            assert val == enumerate_allocations_min(d, W, k, c)
 
 
 class TestMonotonicity:
