@@ -101,7 +101,9 @@ def _build_parser():
 
     sp = sub.add_parser("test", help="p-value for a quantile hypothesis")
     add_common(sp)
-    sp.add_argument("--k", required=True, help="quantile index, or 'n'")
+    sp.add_argument("--k", required=True,
+                    help="quantile index, or 'n' for the size of the scope: "
+                         "n for --scope all, n_t for --scope treated")
     sp.add_argument("--c", type=_threshold, required=True, help="effect threshold")
     sp.add_argument("--scope", choices=("all", "treated"), default="all")
     sp.add_argument("--method", choices=("original", "corrected"), default="original")
@@ -238,7 +240,8 @@ def cmd_quantile_ci(args, data, transform, mc):
 
 
 def cmd_test(args, data, transform, mc):
-    k = data.n if args.k == "n" else int(args.k)
+    size = data.n_t if args.scope == "treated" else data.n
+    k = size if args.k == "n" else int(args.k)
     if args.method == "corrected":
         if args.scope != "all":
             raise FlagError("--method corrected tests a hypothesis about all units; "

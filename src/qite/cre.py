@@ -20,8 +20,8 @@ from .model import (
     switch_labels_negate,
 )
 from .engine import null_for
-from .stratified import PValueResult, _check_threshold, _invert, jump_grid, pvalue
-from .worst_case import _ProfileReader, _stack
+from .stratified import PValueResult, _check_threshold, _invert, _stack, jump_grid, pvalue
+from .worst_case import min_stat_scre_profile
 from .tails import choose_kprime_multi, choose_kprime_single, hypergeom_sf
 
 DEFAULT_GAMMA = 0.5
@@ -109,8 +109,8 @@ def ci_count(data, transform, c, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFAU
     Returns the contiguous hull from n downward; the correction makes the
     scanned p-value only near-monotone in k, so the hull is conservative
     whenever an interior gap occurs.  Every k is tested at the same c, so
-    one batch of profile entries serves the whole scan: ``corrected_pvalue``
-    at k reads entry n_t - k'.
+    one profile serves the whole scan: ``corrected_pvalue`` at k reads
+    entry n_t - k'.
     """
     _require_complete(data)
     _check_threshold(c)
@@ -118,7 +118,7 @@ def ci_count(data, transform, c, alpha, gamma=DEFAULT_GAMMA, dist=None, mc=DEFAU
     if dist is None:
         dist = null_for(data, transform, mc=mc)
     k_primes = [choose_kprime_single(n, n_t, k, alpha, gamma) for k in range(n + 1)]
-    entries = _ProfileReader(data, transform).entries(c, [n_t - kp for kp in k_primes], 0)
+    entries = min_stat_scre_profile(data, transform, c)[[n_t - kp for kp in k_primes]]
     k_max = -1
     for k, (kp, base) in enumerate(zip(k_primes, dist.survival(entries).tolist())):
         p = min(1.0, base + hypergeom_sf(n, n - k, n_t, n_t - kp))

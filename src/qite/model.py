@@ -344,9 +344,6 @@ class OneSidedInterval:
     def informative(self):
         return self.lower > NEG_INF
 
-    def shifted(self, delta):
-        return OneSidedInterval(self.lower + delta, self.closed)
-
 
 UNINFORMATIVE = OneSidedInterval(NEG_INF, False)
 
@@ -363,9 +360,6 @@ class IntervalFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-
-    def indices(self):
-        return tuple(idx for idx, _ in self.entries)
 
     def interval(self, index):
         for idx, iv in self.entries:

@@ -10,11 +10,11 @@ within-stratum treated-minus-control outcome gaps, so inversion is a
 binary search over that grid with exact evaluation at each grid point and
 at its open limits.  One bisection serves every k of a family at once,
 reading a batch of profile entries per round, and every family on the
-data sets of one group: one-stratum data sets of one shape, or one
-stratified data set.  Each family carries its own null and alpha.  A
-stratified profile depends only on the data and the threshold, not on the
-null, so it is memoized per threshold, and the families of a sensitivity
-curve's whole Gamma grid share one bisection over one profile cache.
+data sets of one design (one ``stratum_sizes()``).  Each family carries
+its own null and alpha.  A stratified profile depends only on the data
+and the threshold, not on the null, so it is memoized per data set and
+threshold, and the families of a sensitivity curve's whole Gamma grid
+share one bisection over one profile cache.
 
 Sensitivity analysis bounds the null survival function over all confounder
 configurations when within-set treatment odds differ by at most Gamma.
@@ -32,15 +32,19 @@ from functools import cached_property
 
 import numpy as np
 
+from . import worst_case
 from .model import (
-    DEFAULT_MC, MAX_ABS_OUTCOME, NEG_INF, DataError, IntervalFamily, OneSidedInterval,
-    QuantileHypothesis, UNINFORMATIVE, pool_one_sided, rng_for, switch_labels_negate,
+    DEFAULT_MC, MAX_ABS_OUTCOME, NEG_INF, DataError, ExperimentData, IntervalFamily,
+    OneSidedInterval, QuantileHypothesis, UNINFORMATIVE, pool_one_sided, rng_for,
+    switch_labels_negate,
 )
 from .engine import (
     EXACT_CAP_DEFAULT, ExactEnumerationError, NullDistribution, _mc_null, _uniform_rows,
     convolve_discrete, discrete_null, null_for, per_stratum_transforms, survival,
 )
-from .worst_case import _ProfileReader, _stack, min_stat_scre, min_stat_scre_profile
+from .worst_case import (
+    _entry_indices, _shifted_treated_ranks, _treated_ranks, min_stat_scre, min_stat_scre_profile,
+)
 
 _TAG_SENS = 31
 
@@ -144,13 +148,36 @@ def invert_lower_bound(pfun, grid, alpha, lo_start=0):
     return OneSidedInterval(float(grid[lo]), closed), lo
 
 
-class _ProfileCache(_ProfileReader):
-    """Profile entries and the jump grids of a stack of data sets,
-    stratified profiles memoized per (threshold, side); shared by all k
-    and, in a sensitivity curve, by every Gamma."""
+def _stack(data):
+    """One ``ExperimentData`` or a list of them as a list, and whether it
+    was one.  The data sets of a stack share one design, one
+    ``stratum_sizes()``, and so one null."""
+    one = isinstance(data, ExperimentData)
+    stack = [data] if one else list(data)
+    if not stack:
+        raise ValueError("no data sets given")
+    if len({d.stratum_sizes() for d in stack}) > 1:
+        raise ValueError("stacked data sets must share one design (stratum sizes)")
+    return stack, one
+
+
+class _ProfileCache:
+    """Profile entries and the jump grids of a stack of data sets, read in
+    batches by ``entries``; shared by all k and, in a sensitivity curve,
+    by every Gamma.
+
+    One stratum (every completely randomized design) gathers entries from
+    rankings without building a profile: the ranks of every row of a batch
+    at once, whichever data set the row reads.  Other designs read whole
+    profiles by ``profile``, memoized per (data set, threshold, side).
+    """
 
     def __init__(self, data, transforms):
-        super().__init__(data, transforms)
+        self.stack = _stack(data)[0]
+        first = self.stack[0]
+        self.transforms = per_stratum_transforms(first, transforms)
+        # strata read whole profiles
+        self._phi = self.transforms[0].scores(first.n) if first.n_strata == 1 else None
         self._store = {}
 
     @cached_property
@@ -163,11 +190,64 @@ class _ProfileCache(_ProfileReader):
         """The jump grids laid end to end: one data set's own grid."""
         return np.concatenate(self.grids)
 
-    def __call__(self, c, side):
-        key = (float(c), side)
+    @cached_property
+    def _units(self):
+        """Assignments and outcomes, a row per data set of the stack."""
+        return np.stack([d.z for d in self.stack]), np.stack([d.y for d in self.stack])
+
+    @cached_property
+    def _sorted_outcomes(self):
+        """Treated and control outcomes, each row ascending: read at tie_shift +-1."""
+        z, y = self._units
+        rows = len(self.stack)
+        return (np.sort(y[z == 1].reshape(rows, -1), axis=1),
+                np.sort(y[z == 0].reshape(rows, -1), axis=1))
+
+    def profile(self, d, c, side):
+        """The whole profile of data set d at threshold c and tie_shift side."""
+        key = (d, float(c), side)
         if key not in self._store:
-            self._store[key] = min_stat_scre_profile(self.data, self.transforms, c, side)
+            self._store[key] = min_stat_scre_profile(self.stack[d], self.transforms, c, side)
         return self._store[key]
+
+    def entries(self, c, m, tie_shift):
+        """Entry m[b] of the profiles at threshold c[b], for every b (c and
+        m broadcast), all at one tie_shift.
+
+        The stack's profiles are laid end to end, n_t + 1 entries each:
+        entry m is slot m % (n_t + 1) of data set m // (n_t + 1).  A run of
+        equal (data set, threshold) rows is ranked, or its profile read,
+        once per block of at most ``worst_case._COST_BLOCK`` indices, so
+        callers pass each data set's rows together and thresholds in
+        ascending order.  One stratum gathers and sums each entry as its row
+        of ``worst_case._cost_table``, so entries are bit-identical to the
+        table for any score table.
+        """
+        n, n_t = self.stack[0].n, self.stack[0].n_t
+        c, m = (a.ravel() for a in np.broadcast_arrays(np.asarray(c, dtype=float), m))
+        d, m = np.divmod(m, n_t + 1)
+        out = np.empty(c.size)
+        # ranking at tie_shift 0 sorts all n units of a row
+        rows = max(1, worst_case._COST_BLOCK // (n if tie_shift == 0 else n_t))
+        for a in range(0, c.size, rows):
+            b = slice(a, a + rows)
+            cb, db = c[b], d[b]
+            new = np.ones(cb.size, dtype=bool)
+            new[1:] = (cb[1:] != cb[:-1]) | (db[1:] != db[:-1])
+            run = new.cumsum() - 1
+            cb, db = cb[new], db[new]
+            if self._phi is None:
+                profiles = np.stack([self.profile(j, x, tie_shift)
+                                     for j, x in zip(db.tolist(), cb.tolist())])
+                out[b] = profiles[run, m[b]]
+                continue
+            if tie_shift == 0:
+                z, y = self._units
+                R = _treated_ranks(z[db], y[db], cb, 0)
+            else:
+                R = _shifted_treated_ranks(*self._sorted_outcomes, cb, db, tie_shift)
+            out[b] = self._phi[_entry_indices(R[run], m[b, None])].sum(axis=1)
+        return out
 
 
 def _invert_treated_family(profiles, families):
@@ -229,7 +309,7 @@ def _invert_treated_family(profiles, families):
     base = np.cumsum(span) - span                       # family f's first index
     # grid index of family row j's search index i: i + shift[j]
     shift = ((np.cumsum(sizes) - sizes)[sets] - base)[fam]
-    n_t = profiles.data.n_t
+    n_t = profiles.stack[0].n_t
     slots = sets[fam] * (n_t + 1) + n_t - np.concatenate(fam_ks)
     rows = np.arange(slots.size)
     alphas = np.array(alphas, dtype=float)[fam]
@@ -285,8 +365,8 @@ def _invert_each_k(profiles, dist, alpha, ks):
     intervals = []
     lo = 0
     for k in ks:
-        def pfun(c, side, slots=profiles.data.n_t - k):
-            return survival(dist, float(profiles(c, side)[slots]))
+        def pfun(c, side, slots=profiles.stack[0].n_t - k):
+            return survival(dist, float(profiles.profile(0, c, side)[slots]))
 
         interval, lo = invert_lower_bound(pfun, profiles.grid, alpha, lo_start=lo)
         if not interval.informative:
@@ -299,15 +379,15 @@ def _invert(requests, transforms, mc=DEFAULT_MC):
     """The treated-unit intervals of each request (data set, ascending ks,
     null or None, alpha): one interval per k.
 
-    Requests are grouped by their data alone.  One-stratum data sets of one
-    shape (n, n_t) share one ``_ProfileCache`` and one bisection, as do all
-    the requests on one stratified data set, such as every Gamma of a
-    sensitivity curve.  A None null is the data set's own, from
-    ``null_for``, which is the same for every data set of a group.
+    Requests are grouped by their design alone: the data sets of one
+    ``stratum_sizes()`` share one ``_ProfileCache`` and one bisection, such
+    as every Gamma of a sensitivity curve or a balanced design's two
+    orientations.  A None null is the data set's own, from ``null_for``,
+    which is the same for every data set of a group.
     """
     groups = {}
     for i, (d, *_) in enumerate(requests):
-        groups.setdefault((d.n, d.n_t) if d.n_strata == 1 else id(d), []).append(i)
+        groups.setdefault(d.stratum_sizes(), []).append(i)
     out = [None] * len(requests)
     for members in groups.values():
         stack, sets, families, own = [], {}, [], None
@@ -330,8 +410,8 @@ def prediction_intervals_treated(data, transforms, alpha, dist=None, mc=DEFAULT_
     effects among treated units, k = 1..n_t.  Nested: bounds nondecreasing
     in k.
 
-    ``data`` is one ``ExperimentData``, or a list of one-stratum data sets
-    of one shape, inverted in one bisection: then a list of families.
+    ``data`` is one ``ExperimentData``, or a list of data sets of one
+    design, inverted in one bisection: then a list of families.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -494,14 +574,14 @@ class SensitivityCurve:
 
 def sensitivity_curve(data, transforms, alpha, gammas, mode="pairs", mc=DEFAULT_MC):
     """Interval families across a Gamma grid plus, per quantile, the largest
-    Gamma whose interval still excludes zero.  Every Gamma's family is
-    inverted in one bisection over the data's one profile cache."""
-    gammas = tuple(sorted(float(g) for g in gammas))
+    Gamma whose interval still excludes zero.  The grid is kept as its
+    sorted distinct Gammas.  Every Gamma's family is inverted in one
+    bisection over the data's one profile cache."""
+    gammas = tuple(sorted({float(g) for g in gammas}))
     if not gammas:
         raise ValueError("the Gamma grid is empty")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    _require_matched(data, pairs_only=(mode == "pairs"))
     ks = range(1, data.n_t + 1)
     found = _invert([(data, ks, worst_case_tail(data, transforms, g, mode, mc), alpha)
                      for g in gammas], transforms, mc)

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 
 import numpy as np
 
-from .model import NEG_INF, ExperimentData
+from .model import NEG_INF
 from .engine import per_stratum_transforms, statistic, stratified_statistic
 
 
@@ -76,28 +75,52 @@ def _cost_table_direct(z_s, y_s, transform, c, tie_shift):
     ])
 
 
-def _treated_ranks(data, c, tie_shift):
+def _treated_ranks(z, y, c, tie_shift, strata=None):
     """Within-stratum ranks of the treated units at threshold c, none
     evicted: ascending within each stratum, strata in code order.
 
-    One sort of all units, by stratum, then imputed outcome (y - c for
-    treated units, y for controls), then shift; the sorts are stable, so
-    ties fall back to position as in ``engine.ranks``.
+    z, y and strata (None for one stratum) hold one data set's units, with
+    c one threshold; or a row per threshold of the vector c, each row a
+    data set of one design, ranked alone.  One sort of all units of a row,
+    by stratum, then imputed outcome (y - c for treated units, y for
+    controls), then shift; the sorts are stable, so ties fall back to
+    position as in ``engine.ranks``.
     """
-    z = data.z
-    keys = [np.where(z == 1, data.y - c, data.y)]
+    imputed = np.where(z == 1, y - np.asarray(c, dtype=float)[..., None], y)
+    keys = [imputed]
     if tie_shift != 0:
         keys.insert(0, _shift_vector(z, tie_shift))
-    stratified = data.n_strata > 1
-    if stratified:
-        keys.append(data.strata)
-    order = np.argsort(keys[0], kind="stable") if len(keys) == 1 else np.lexsort(keys)
-    treated = np.flatnonzero(z[order] == 1)
+    if strata is not None:
+        keys.append(strata)
+    order = (np.argsort(imputed, axis=-1, kind="stable") if len(keys) == 1
+             else np.lexsort(keys, axis=-1))
+    ranked = z[order] if z.ndim == 1 else np.take_along_axis(z, order, axis=-1)
+    treated = np.nonzero(ranked == 1)[-1].reshape(*z.shape[:-1], -1)
     R = treated + 1
-    if stratified:
-        counts = np.bincount(data.strata)
-        R -= (np.cumsum(counts) - counts)[data.strata[order[treated]]]
+    if strata is not None:
+        # sorted by stratum first: position j lies in the stratum whose
+        # units fill it, the same for every row of one design
+        counts = np.bincount(np.atleast_2d(strata)[0])
+        R -= np.repeat(np.cumsum(counts) - counts, counts)[treated]
     return R
+
+
+def _shifted_treated_ranks(yt, yc, c, rows, tie_shift):
+    """``_treated_ranks`` of one-stratum data sets at tie_shift +-1, from
+    each data set's treated and control outcomes, each row ascending: a
+    row of ranks per threshold c[b], of data set rows[b].
+
+    Row b of ``yt - c[b]`` is the subtraction ``_treated_ranks`` makes,
+    sorted because rounding is monotone, so treated unit p ranks p + 1 plus
+    the controls of its data set strictly below (tie_shift -1) or at or
+    below (+1) its imputed outcome: one ``searchsorted`` per run of rows of
+    one data set.
+    """
+    side = "left" if tie_shift < 0 else "right"
+    cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+    R = [np.searchsorted(yc[rows[a]], yt[rows[a]] - c[a:b, None], side)
+         for a, b in zip([0] + cuts, cuts + [rows.size])]
+    return np.arange(1, yt.shape[1] + 1) + (R[0] if len(R) == 1 else np.concatenate(R))
 
 
 def _cost_table(R, phi):
@@ -177,15 +200,16 @@ def min_stat_scre_profile(data, transforms, c, tie_shift=0):
 
     Every design is ranked once, by ``_treated_ranks``.  One stratum
     (including a completely randomized design) gets its cost table, which
-    ``_ProfileReader.entries`` reads entry by entry without building it;
-    one treated unit per stratum gets a closed form; otherwise
-    ``_allocation_dp`` over the per-stratum cost tables, exact
-    within-stratum statistics, is the profile.  f_s is nonincreasing in m,
+    ``min_stat_scre`` and ``stratified._ProfileCache.entries`` read entry by
+    entry without building it; one treated unit per stratum gets a closed
+    form; otherwise ``_allocation_dp`` over the per-stratum cost tables,
+    exact within-stratum statistics, is the profile.  f_s is nonincreasing in m,
     so the minimum at capacity u is attained using all u slots and the
     profile itself is nonincreasing.
     """
     transforms = per_stratum_transforms(data, transforms)
-    R = _treated_ranks(data, c, tie_shift)
+    R = _treated_ranks(data.z, data.y, c, tie_shift,
+                       data.strata if data.n_strata > 1 else None)
     if data.n_strata == 1:
         return _cost_table(R, transforms[0].scores(data.n))
     if data.n_t == data.n_strata:   # each stratum holds at least one treated unit
@@ -227,126 +251,19 @@ def _profile_one_treated(data, R, transforms):
     return profile
 
 
-def _stack(data):
-    """One ``ExperimentData`` or a list of them as a list, and whether it
-    was one.
-
-    A stack of several holds one-stratum data sets of one shape (n, n_t),
-    which share a null; a stratified design is read alone.
-    """
-    one = isinstance(data, ExperimentData)
-    stack = [data] if one else list(data)
-    if not stack:
-        raise ValueError("no data sets given")
-    if len(stack) > 1:
-        if any(d.n_strata > 1 for d in stack):
-            raise ValueError("stratified data sets are read one at a time, not stacked")
-        if len({(d.n, d.n_t) for d in stack}) > 1:
-            raise ValueError("stacked data sets must share one shape (n, n_t)")
-    return stack, one
-
-
-class _ProfileReader:
-    """Entries of the profiles of a stack of data sets, read in batches by
-    ``entries``.
-
-    The stack is one data set, or one-stratum data sets of one shape (see
-    ``_stack``).  One stratum (every completely randomized design) gathers
-    entries from rankings without building a profile: the ranks of every
-    row of a batch at once, whichever data set the row reads.  Other
-    designs read whole profiles of their one data set by calling the
-    reader, which ``stratified._ProfileCache`` memoizes.
-    """
-
-    def __init__(self, data, transforms):
-        self.stack = _stack(data)[0]
-        self.data = self.stack[0]   # the one data set of a stratified reader
-        self.transforms = per_stratum_transforms(self.data, transforms)
-        self._n, self._n_t = self.data.n, self.data.n_t
-        # strata read whole profiles
-        self._phi = self.transforms[0].scores(self._n) if self.data.n_strata == 1 else None
-
-    @cached_property
-    def _units(self):
-        """Assignments and outcomes, a row per data set of the stack."""
-        return np.stack([d.z for d in self.stack]), np.stack([d.y for d in self.stack])
-
-    @cached_property
-    def _sorted_outcomes(self):
-        """Treated and control outcomes, each row ascending: read at tie_shift +-1."""
-        z, y = self._units
-        rows = len(self.stack)
-        return (np.sort(y[z == 1].reshape(rows, -1), axis=1),
-                np.sort(y[z == 0].reshape(rows, -1), axis=1))
-
-    def __call__(self, c, tie_shift):
-        return min_stat_scre_profile(self.data, self.transforms, c, tie_shift)
-
-    def entries(self, c, m, tie_shift):
-        """Entry m[b] of the profiles at threshold c[b], for every b (c and
-        m broadcast), all at one tie_shift.
-
-        The stack's profiles are laid end to end, n_t + 1 entries each:
-        entry m is slot m % (n_t + 1) of data set m // (n_t + 1).  A run of
-        equal (data set, threshold) rows is ranked, or its profile read,
-        once per block of at most ``_COST_BLOCK`` indices, so callers pass
-        each data set's rows together and thresholds in ascending order.
-        One stratum gathers and sums each entry as its row of
-        ``_cost_table``, so entries are bit-identical to the table for any
-        score table.
-        """
-        c, m = (a.ravel() for a in np.broadcast_arrays(np.asarray(c, dtype=float), m))
-        d, m = np.divmod(m, self._n_t + 1)
-        out = np.empty(c.size)
-        # ranking at tie_shift 0 sorts all n units of a row
-        rows = max(1, _COST_BLOCK // (self._n if tie_shift == 0 else self._n_t))
-        for a in range(0, c.size, rows):
-            b = slice(a, a + rows)
-            cb, db = c[b], d[b]
-            new = np.ones(cb.size, dtype=bool)
-            new[1:] = (cb[1:] != cb[:-1]) | (db[1:] != db[:-1])
-            run = new.cumsum() - 1
-            if self._phi is None:
-                profiles = np.stack([self(x, tie_shift) for x in cb[new].tolist()])
-                out[b] = profiles[run, m[b]]
-            else:
-                R = self._ranks(cb[new], db[new], tie_shift)
-                out[b] = self._phi[_entry_indices(R[run], m[b, None])].sum(axis=1)
-        return out
-
-    def _ranks(self, c, d, tie_shift):
-        """Ascending treated ranks of one-stratum data sets d[b] at
-        thresholds c[b], a row per b.
-
-        Tie_shift 0: one row-wise stable argsort of the imputed outcomes in
-        unit order, the sort ``_treated_ranks`` makes.  Tie_shift +-1: row b
-        of ``yt - c[b]`` is the subtraction ``_treated_ranks`` makes, sorted
-        because rounding is monotone, so treated unit p ranks p + 1 plus the
-        controls of its data set strictly below (tie_shift -1) or at or
-        below (+1) its imputed outcome.
-        """
-        z, y = self._units
-        if tie_shift == 0:
-            z, y = z[d], y[d]
-            order = np.argsort(np.where(z == 1, y - c[:, None], y), axis=1, kind="stable")
-            treated = np.nonzero(np.take_along_axis(z, order, axis=1) == 1)[1]
-            return treated.reshape(c.size, self._n_t) + 1
-        yt, yc = self._sorted_outcomes
-        side = "left" if tie_shift < 0 else "right"
-        cuts = (np.flatnonzero(d[1:] != d[:-1]) + 1).tolist()
-        R = [np.searchsorted(yc[d[a]], yt[d[a]] - c[a:b, None], side)
-             for a, b in zip([0] + cuts, cuts + [d.size])]
-        return np.arange(1, self._n_t + 1) + (R[0] if len(R) == 1 else np.concatenate(R))
-
-
 def min_stat_scre(data, transforms, k, c, tie_shift=0):
     """Infimum of the (stratified) statistic over effect vectors with at
-    most n-k entries above c (all-units scope), for any design."""
+    most n-k entries above c (all-units scope), for any design: entry
+    min(n-k, n_t) of the profile.  One stratum sums that one row of its
+    cost table; strata read it from the whole profile."""
     n = data.n
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}]")
-    reader = _ProfileReader(data, transforms)
-    return float(reader.entries(c, min(n - k, data.n_t), tie_shift)[0])
+    m = min(n - k, data.n_t)
+    if data.n_strata > 1:
+        return float(min_stat_scre_profile(data, transforms, c, tie_shift)[m])
+    phi = per_stratum_transforms(data, transforms)[0].scores(n)
+    return float(phi[_entry_indices(_treated_ranks(data.z, data.y, c, tie_shift), m)].sum())
 
 
 min_stat_cre = min_stat_scre

@@ -239,6 +239,18 @@ class TestTestCmd:
         # C(8,4)=70 assignments reach a rank sum of 25
         assert out["p_value"] == pytest.approx(2 / 70)
 
+    def test_k_n_is_the_treated_count_in_treated_scope(self, toy_csv, tmp_path):
+        # --k n names the size of the scope: n_t = 4 of the 8 units here
+        outs = []
+        for k in ("n", "4"):
+            code, prefix = run_cli(
+                ["test", "--data", toy_csv, "--k", k, "--c", "0", "--scope", "treated",
+                 "--mc-draws", "2000"], tmp_path, name=f"k{k}")
+            assert code == 0
+            outs.append(json.loads(open(prefix + ".json").read()))
+        assert outs[0] == outs[1]
+        assert outs[0]["k"] == 4 and outs[0]["scope"] == "treated"
+
     def test_corrected_method(self, toy_csv, tmp_path):
         code, prefix = run_cli(
             ["test", "--data", toy_csv, "--k", "6", "--c", "0.0", "--method",
@@ -292,6 +304,23 @@ class TestSensitivityCmd:
         assert out["gammas"] == [1.0, 2.0]
         assert "1.0" in out["families"]
         assert len(out["zero_exclusion_thresholds"]) == 5
+
+    def test_repeated_gammas_kept_once(self, tmp_path):
+        # the grid is its sorted distinct Gammas: one family each
+        p = tmp_path / "pairs.csv"
+        p.write_text(TOY_PAIRS)
+        outs = []
+        for grid in ("2,1,2", "1,2"):
+            code, prefix = run_cli(
+                ["sensitivity", "--data", str(p), "--gamma-grid", grid,
+                 "--mode", "pairs", "--alpha", "0.3", "--seed", "5",
+                 "--mc-draws", "2000"], tmp_path, name=grid.replace(",", "-"))
+            assert code == 0
+            outs.append(open(prefix + ".json").read())
+        assert outs[0] == outs[1]
+        out = json.loads(outs[0])
+        assert out["gammas"] == [1.0, 2.0]
+        assert sorted(out["families"]) == ["1.0", "2.0"]
 
     def test_gamma_one_equals_scre_intervals(self, tmp_path):
         p = tmp_path / "strat.csv"

@@ -11,7 +11,7 @@ from qite.cre import jump_grid
 from qite.model import NEG_INF, OneSidedInterval
 from qite.tails import CorrectionSpec, choose_kprime_single
 from qite.worst_case import brute_force_min
-from qite import stratified, worst_case
+from qite import cre, stratified
 
 from conftest import GUARD_SENSITIVE, random_cre, teacher_shaped
 
@@ -289,13 +289,13 @@ class TestCiCount:
                            d.n, d.n_t, k, 0.2, 0.5), dist).value > 0.2]
             cases.append((d, dist, c, (min(members), d.n) if members else (0, d.n)))
         calls = []
-        original = worst_case._ProfileReader.entries
+        original = cre.min_stat_scre_profile
 
-        def counted(self, *args):
+        def counted(*args):
             calls.append(args)
-            return original(self, *args)
+            return original(*args)
 
-        monkeypatch.setattr(worst_case._ProfileReader, "entries", counted)
+        monkeypatch.setattr(cre, "min_stat_scre_profile", counted)
         for d, dist, c, want in cases:
             calls.clear()
             assert ci_count(d, W, c, 0.2, 0.5, dist) == want

@@ -12,7 +12,7 @@ from qite import (
     pvalue_all, pvalue_scre, pvalue_sensitivity, sensitivity_curve, simultaneous_cis,
     stratified_statistic, worst_case_tail,
 )
-from qite.model import MAX_ABS_OUTCOME, NEG_INF, rng_for
+from qite.model import MAX_ABS_OUTCOME, NEG_INF, pool_one_sided, rng_for, switch_labels_negate
 from qite import engine, stratified, worst_case
 from qite.stratified import sensitivity_intervals
 
@@ -264,7 +264,7 @@ class TestInvertAllK:
         # profile reads: whole profiles by the loop, batches of entries by
         # the family (a CRE's entries build no profile)
         calls = []
-        entries, profile = worst_case._ProfileReader.entries, stratified._ProfileCache.__call__
+        entries, profile = stratified._ProfileCache.entries, stratified._ProfileCache.profile
 
         def counted(read):
             def wrapper(self, c, *args):
@@ -272,8 +272,8 @@ class TestInvertAllK:
                 return read(self, c, *args)
             return wrapper
 
-        monkeypatch.setattr(worst_case._ProfileReader, "entries", counted(entries))
-        monkeypatch.setattr(stratified._ProfileCache, "__call__", counted(profile))
+        monkeypatch.setattr(stratified._ProfileCache, "entries", counted(entries))
+        monkeypatch.setattr(stratified._ProfileCache, "profile", counted(profile))
         d = teacher_shaped()
         dist = null_for(d, W, mc=MonteCarloConfig(5000, 8))
         ks = range(1, d.n_t + 1)
@@ -301,6 +301,22 @@ def cre_stack(seed, n_t, count=3, n=12):
     return stack
 
 
+def scre_stack(seed, n_t, count=3, n_s=6):
+    """One-decimal stratified data sets of one design: two strata of n_s
+    units with n_t / 2 treated each, the units of the strata interleaved."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for _ in range(count):
+        z = np.zeros(2 * n_s, dtype=int)
+        for s in range(2):
+            z[s * n_s + rng.permutation(n_s)[:n_t // 2]] = 1
+        strata = np.repeat(["a", "b"], n_s)
+        order = rng.permutation(2 * n_s)
+        y = np.round(rng.normal(0.0, 1.0, 2 * n_s) + z, 1)
+        stack.append(ExperimentData.from_arrays(z[order], y[order], strata[order]))
+    return stack
+
+
 S3 = RankTransform.stephenson(3)
 
 # every family function that takes a list of data sets, at its own alpha
@@ -315,26 +331,52 @@ LIST_FORMS = {
 }
 
 
+# the list forms that take stratified data sets
+STRATA_FORMS = ("prediction_intervals_treated", "intervals_from_treated_only",
+                "combine_treated_control")
+
+
 class TestListForm:
     @pytest.mark.parametrize("name", LIST_FORMS)
     @pytest.mark.parametrize("n_t", [6, 4])   # balanced, and orientations with two nulls
     def test_list_equals_per_data_set_calls(self, name, n_t):
         family = LIST_FORMS[name]
-        stack = cre_stack(n_t, n_t)
-        assert family(stack) == [family(d) for d in stack]
-        assert family(stack[:1]) == [family(stack[0])]
+        stacks = [cre_stack(n_t, n_t)]
+        if name in STRATA_FORMS:
+            stacks.append(scre_stack(n_t, n_t))
+        for stack in stacks:
+            assert family(stack) == [family(d) for d in stack]
+            assert family(stack[:1]) == [family(stack[0])]
 
     @pytest.mark.parametrize("name", LIST_FORMS)
     def test_mixed_shapes_rejected(self, name):
-        with pytest.raises(ValueError, match="one shape"):
+        with pytest.raises(ValueError, match="one design"):
             LIST_FORMS[name](cre_stack(1, 6, 2) + cre_stack(2, 5, 1))
 
-    def test_stratified_data_sets_not_stacked(self):
+    def test_two_stratified_designs_rejected(self):
         d = random_scre(np.random.default_rng(3), n_strata=2, size_max=4)
-        with pytest.raises(ValueError, match="one at a time"):
-            prediction_intervals_treated([d, d], W, 0.2)
-        assert prediction_intervals_treated([d], W, 0.2) == [
-            prediction_intervals_treated(d, W, 0.2)]
+        with pytest.raises(ValueError, match="one design"):
+            prediction_intervals_treated([d, scre_stack(3, 4, 1)[0]], W, 0.2)
+        assert prediction_intervals_treated([d, d], W, 0.2) == [
+            prediction_intervals_treated(d, W, 0.2)] * 2
+
+    def test_balanced_stratified_orientations_share_one_bisection(self, monkeypatch):
+        d = scre_stack(5, 6, 1)[0]
+        switched = switch_labels_negate(d)
+        assert switched.stratum_sizes() == d.stratum_sizes()
+        apart = [prediction_intervals_treated(x, S3, 0.2) for x in (d, switched)]
+        calls = []
+        invert = stratified._invert_treated_family
+
+        def counted(*args):
+            calls.append(args)
+            return invert(*args)
+
+        monkeypatch.setattr(stratified, "_invert_treated_family", counted)
+        assert combine_scre(d, S3, 0.2) == pool_one_sided(
+            [iv for fam in apart for _, iv in fam.entries], "sample-quantiles-all",
+            1.0 - 2.0 * 0.2)
+        assert len(calls) == 1
 
     def test_balanced_orientations_share_one_bisection(self, monkeypatch):
         calls = []

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from qite import ExperimentData, RankTransform, min_stat_cre, min_stat_scre, ranks
 from qite.cre import jump_grid, stratified_jump_grid
 from qite.worst_case import (
-    _ProfileReader, _cost_table, _cost_table_direct, _treated_ranks, brute_force_min,
+    _cost_table, _cost_table_direct, _treated_ranks, brute_force_min,
     enumerate_allocations_min, min_stat_scre_profile,
 )
 from qite import worst_case
+from qite.stratified import _ProfileCache
 
 from conftest import DECIMALS, random_cre, random_scre
 
@@ -257,7 +258,7 @@ class TestProfileProperties:
                                        ["a", "a", "a", "b", "b", "b"])
         z_a, y_a = d.z[:3], d.y[:3]
         assert y_a[0] - (-BIG) == y_a[2] - (-BIG) == y_a[1]
-        R_a = _treated_ranks(ExperimentData(z_a, y_a), -BIG, 0)
+        R_a = _treated_ranks(z_a, y_a, -BIG, 0)
         assert _cost_table(R_a, W.scores(3)).tolist() == [4.0, 3.0, 3.0]
         for k in range(d.n + 1):
             for side in (-1, 0, 1):
@@ -279,7 +280,7 @@ class TestProfileProperties:
         tr = RankTransform.from_table(np.cumsum(rng.random(n_s) ** 3))
         c = {"grid": float(rng.choice(y) - rng.choice(y)), "inf": float("inf"),
              "-inf": float("-inf"), "large": 1e17}[c_kind]
-        fast = _cost_table(_treated_ranks(ExperimentData(z, y), c, side), tr.scores(n_s))
+        fast = _cost_table(_treated_ranks(z, y, c, side), tr.scores(n_s))
         direct = _cost_table_direct(z, y, tr, c, side)
         assert fast.tobytes() == direct.tobytes()
 
@@ -316,8 +317,21 @@ class TestTreatedRanks:
         for idx in d.stratum_members():
             r = ranks(imputed[idx], shift[idx] if side else None)
             want.append(np.sort(r[d.z[idx] == 1]))
-        got = _treated_ranks(d, c, side)
+        got = _treated_ranks(d.z, d.y, c, side, d.strata)
         assert got.tolist() == np.concatenate(want).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=ranked_designs(), data=st.data())
+    def test_rows_equal_single_threshold_calls(self, case, data):
+        d, c, side = case
+        cs = [c] + data.draw(st.lists(st.sampled_from(
+            [*stratified_jump_grid(d).tolist(), float("inf"), float("-inf")]), max_size=5))
+        rows = (len(cs), 1)
+        got = _treated_ranks(np.tile(d.z, rows), np.tile(d.y, rows), cs, side,
+                             None if d.strata is None else np.tile(d.strata, rows))
+        assert got.shape == (len(cs), d.n_t)
+        for row, c_b in zip(got.tolist(), cs):
+            assert row == _treated_ranks(d.z, d.y, c_b, side, d.strata).tolist()
 
 
 @st.composite
@@ -379,7 +393,7 @@ class TestOneStratumProfile:
         # several ranking and gathering blocks per call
         worst_case._COST_BLOCK = data.draw(st.sampled_from([1, 5, original]))
         try:
-            reader = _ProfileReader(d if len(stack) == 1 else stack, tr)
+            reader = _ProfileCache(d if len(stack) == 1 else stack, tr)
             got = [reader.entries(cs, at, side) for side in (-1, 0, 1)]
         finally:
             worst_case._COST_BLOCK = original
