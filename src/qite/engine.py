@@ -173,9 +173,40 @@ def discrete_null(support, weights=None, tail=None, provenance=(), design=()):
 
 
 def _merge_atoms(values, weights):
-    vals, inverse = np.unique(values, return_inverse=True)
-    w = np.bincount(inverse, weights=weights, minlength=vals.size)
-    return vals, w
+    """Distinct values in increasing order and the summed weight of each.
+
+    Every sum adds its weights in input order.  Integer values whose span
+    is at most four bins per value are binned by their offset from the
+    smallest; others (and -0.0, whose sign the sort keeps) are sorted.
+    """
+    lattice = _lattice_offsets(values, 4 * values.size)
+    if lattice is None or (lattice[0] <= 0.0 and np.signbit(values[values == 0.0]).any()):
+        vals, inverse = np.unique(values, return_inverse=True)
+        return vals, np.bincount(inverse, weights=weights, minlength=vals.size)
+    lo, off = lattice
+    w = np.bincount(off, weights=weights)
+    hit = np.zeros(w.size, dtype=bool)
+    hit[off] = True
+    nz = np.flatnonzero(hit)
+    return nz + lo, w[nz]
+
+
+def _lattice_offsets(values, max_span):
+    """(smallest value, int64 offset of each value from it), or None.
+
+    None unless the values are integers below 2**53 in magnitude whose
+    span is at most ``max_span``: then every offset is exact, and
+    lowest + offset gives the value back bit for bit (as +0.0 for zero).
+    """
+    if values.size == 0:
+        return None
+    lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo == math.floor(lo)
+            and hi - lo <= max_span and max(-lo, hi) < 2.0 ** 53):
+        return None
+    d = values - lo
+    off = d.astype(np.int64)
+    return (lo, off) if np.array_equal(off, d) else None
 
 
 def _exact_float_sums(phi):
@@ -363,7 +394,29 @@ def convolve_discrete(parts, cap=EXACT_CAP_DEFAULT):
 
     Weights within each part should sum to about 1 so that products cannot
     underflow across hundreds of strata; the result is normalized anyway.
+    Raises ExactEnumerationError before a part whose outer product with
+    the atoms attained so far would pass ``cap``.
     """
+    parts = list(parts)
+    return _convolve(parts, range(len(parts)), cap)
+
+
+def _convolve(distinct, index, cap):
+    """``convolve_discrete`` of the parts ``distinct[i]`` for i in ``index``.
+
+    Each distinct part is read once.  Integer supports whose slice-adds
+    fit the cap are convolved on the integer lattice (``_convolve_dense``),
+    others by merging each outer product (``_convolve_sparse``); both
+    give the same bits and the same cap error.
+    """
+    steps = _lattice_steps(distinct, index, cap)
+    if steps is None:
+        return _convolve_sparse([distinct[i] for i in index], cap)
+    return _convolve_dense(steps)
+
+
+def _convolve_sparse(parts, cap):
+    """Merge each part's outer product with the atoms so far: any supports."""
     acc_v = np.zeros(1)
     acc_w = np.ones(1)
     for v, w in parts:
@@ -372,12 +425,77 @@ def convolve_discrete(parts, cap=EXACT_CAP_DEFAULT):
         # is no larger
         if acc_v.size * v.size > cap:
             raise ExactEnumerationError(
-                f"convolving {acc_v.size} by {v.size} atoms exceeds cap {cap}; use Monte Carlo"
-            )
+                f"convolving {acc_v.size} by {v.size} atoms exceeds cap {cap}; use Monte Carlo")
         vals = (acc_v[:, None] + v[None, :]).ravel()
         wts = (acc_w[:, None] * np.asarray(w)[None, :]).ravel()
         acc_v, acc_w = _merge_atoms(vals, wts)
     return acc_v, acc_w
+
+
+# what one slice-add of ``_convolve_dense`` costs beyond its length, in
+# array elements: about the time of three numpy calls on short arrays
+_SLICE_COST = 1024
+
+
+def _lattice_steps(distinct, index, cap):
+    """The parts ``distinct[i]`` for i in ``index`` as (lowest value,
+    offsets, weights, width) for ``_convolve_dense``, or None.
+
+    None unless every support is integer-valued, the sums stay below 2**53
+    in magnitude, and each part's slice-adds, one per support point over
+    the lattice so far plus ``_SLICE_COST`` each, fit the cap.  The dense
+    lattice holds at least the attained atoms, so the sparse merge would
+    not pass the cap either.  Offsets and weights are listed by decreasing
+    offset, and in part order among equal offsets.
+    """
+    prepared = []
+    for v, w in distinct:
+        lattice = _lattice_offsets(np.asarray(v, dtype=float), cap)
+        if lattice is None:
+            return None
+        lo, off = lattice
+        order = np.argsort(-off, kind="stable")
+        prepared.append((lo, off[order].tolist(), np.asarray(w, dtype=float)[order].tolist(),
+                         int(off.max())))
+    steps = []
+    n = 1
+    bound = 0.0
+    for i in index:
+        lo, offsets, _, width = step = prepared[i]
+        bound += max(-lo, lo + width)
+        if (n + _SLICE_COST) * len(offsets) > cap or bound >= 2.0 ** 53:
+            return None
+        n += width
+        steps.append(step)
+    return steps
+
+
+def _convolve_dense(steps):
+    """Convolve on the integer lattice: dense weights over the offsets from
+    the sum of the lowest values, with one slice-add per support point.
+
+    Adding the points by decreasing offset adds each bin's products in
+    increasing order of the accumulated offset, and in part order among
+    equal offsets: the order in which ``_convolve_sparse`` sums them, so
+    the weights are the same bits.  ``hit`` marks the attained sums, also
+    where every product underflowed to 0.0.
+    """
+    acc = np.ones(1)
+    hit = np.ones(1, dtype=bool)
+    lo = 0.0
+    for low, offsets, weights, width in steps:
+        n = acc.size
+        out = np.zeros(n + width)
+        reached = np.zeros(n + width, dtype=bool)
+        prod = np.empty(n)
+        for o, w in zip(offsets, weights):
+            np.multiply(acc, w, out=prod)
+            out[o:o + n] += prod
+            reached[o:o + n] |= hit
+        acc, hit = out, reached
+        lo += low
+    nz = np.flatnonzero(hit)
+    return nz + lo, acc[nz]
 
 
 def null_distribution(design, transforms, mode="auto", mc=DEFAULT_MC, cap=EXACT_CAP_DEFAULT):
@@ -415,11 +533,18 @@ def _null_cached(sizes, transforms, mode, mc, cap):
     if mode == "exact" or (
             mode == "auto" and all(math.comb(ns, nst) <= cap for ns, nst in sizes)):
         try:
-            parts = [_exact_subset_sums(tr.scores(ns), ns, nst, cap) for (ns, nst), tr in strata]
+            # strata of one shape and transform share their counts
+            kinds = list(dict.fromkeys(strata))
+            counted = [_exact_subset_sums(tr.scores(ns), ns, nst, cap)
+                       for (ns, nst), tr in kinds]
             # one stratum's counts go in as they are: normalizing them
             # would change the bits of the tail
-            vals, wts = parts[0] if len(parts) == 1 else convolve_discrete(
-                [(v, w / w.sum()) for v, w in parts], cap)
+            if len(strata) == 1:
+                vals, wts = counted[0]
+            else:
+                slot = {kind: i for i, kind in enumerate(kinds)}
+                vals, wts = _convolve([(v, w / w.sum()) for v, w in counted],
+                                      [slot[s] for s in strata], cap)
             return discrete_null(vals, wts, provenance=("exact",), design=design)
         except ExactEnumerationError:
             if mode == "exact":

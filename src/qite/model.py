@@ -136,7 +136,8 @@ class ExperimentData:
 
     Unit ordering is the global tie-break order.  If a shuffle was applied
     at load time, the seed and permutation are recorded so the analysis can
-    be replayed exactly.
+    be replayed exactly.  Stratum codes run 0..S-1 without gaps, and every
+    stratum holds a treated and a control unit.
     """
 
     z: np.ndarray
@@ -168,11 +169,15 @@ class ExperimentData:
                 raise DataError("stratum vector length mismatch")
             if strata.min() < 0:
                 raise DataError("stratum codes must be nonnegative")
-            for s in np.unique(strata):
-                zs = z[strata == s]
-                if zs.sum() < 1 or (1 - zs).sum() < 1:
-                    name = self._stratum_name(s)
-                    raise DataError(f"stratum {name!r} lacks a treated or a control unit")
+            counts = np.bincount(strata)
+            if not counts.all():
+                raise DataError(f"stratum codes must run 0..{counts.size - 1} without gaps; "
+                                f"code {int(np.argmin(counts))} has no units")
+            treated = np.bincount(strata[z == 1], minlength=counts.size)
+            lacking = np.flatnonzero((treated == 0) | (treated == counts))
+            if lacking.size:
+                name = self._stratum_name(lacking[0])
+                raise DataError(f"stratum {name!r} lacks a treated or a control unit")
         for arr in (z, y) + ((strata,) if strata is not None else ()):
             arr.setflags(write=False)
         object.__setattr__(self, "z", z)
@@ -194,7 +199,7 @@ class ExperimentData:
     def n(self):
         return int(self.z.size)
 
-    @property
+    @cached_property
     def n_t(self):
         return int(self.z.sum())
 
@@ -202,7 +207,7 @@ class ExperimentData:
     def n_c(self):
         return self.n - self.n_t
 
-    @property
+    @cached_property
     def n_strata(self):
         return 1 if self.strata is None else int(self.strata.max()) + 1
 

@@ -39,8 +39,8 @@ from .model import (
     switch_labels_negate,
 )
 from .engine import (
-    EXACT_CAP_DEFAULT, ExactEnumerationError, NullDistribution, _mc_null, _uniform_rows,
-    convolve_discrete, discrete_null, null_for, per_stratum_transforms, survival,
+    EXACT_CAP_DEFAULT, ExactEnumerationError, NullDistribution, _convolve, _mc_null,
+    _uniform_rows, discrete_null, null_for, per_stratum_transforms, survival,
 )
 from .worst_case import (
     _entry_indices, _shifted_treated_ranks, _treated_ranks, min_stat_scre, min_stat_scre_profile,
@@ -491,18 +491,18 @@ def worst_case_tail(data, transforms, gamma_bound, mode="pairs", mc=DEFAULT_MC,
     if mode == "pairs":
         _require_matched(data, pairs_only=True)
         p_hi = gamma / (1.0 + gamma)
-        atoms = []
-        for (n_s, _), tr in zip(data.stratum_sizes(), transforms):
-            q = tr.scores(2)
-            atoms.append((q, np.array([1.0 - p_hi, p_hi])))
+        # one two-atom part per distinct transform, shared by its pairs
+        probs = np.array([1.0 - p_hi, p_hi])
+        slot = {tr: i for i, tr in enumerate(dict.fromkeys(transforms))}
+        two = [(tr.scores(2), probs) for tr in slot]
         try:
-            vals, wts = convolve_discrete(atoms, cap)
+            vals, wts = _convolve(two, [slot[tr] for tr in transforms], cap)
             return discrete_null(vals, wts, provenance=("exact", "worst-case", gamma),
                                  design=design)
         except ExactEnumerationError:
             rng = rng_for(mc.seed, _TAG_SENS, data.n_strata)
-            low = np.array([tr.scores(2)[0] for tr in transforms])
-            high = np.array([tr.scores(2)[1] for tr in transforms])
+            low = np.array([two[slot[tr]][0][0] for tr in transforms])
+            high = np.array([two[slot[tr]][0][1] for tr in transforms])
 
             def totals(u, take_high, scores):
                 # each pair's high score with probability p_hi, summed per row

@@ -342,6 +342,159 @@ class TestCountedExactNull:
         assert all(_bitwise_equal(g, w) for g, w in zip(got, want))
 
 
+def _sorted_merge(values, weights):
+    """Reference merge: sort the distinct values and add each one's
+    weights in input order."""
+    vals, inverse = np.unique(values, return_inverse=True)
+    return vals, np.bincount(inverse, weights=weights, minlength=vals.size)
+
+
+def _sorted_convolution(parts, cap):
+    """Reference convolution: merge each part's outer product with the
+    atoms so far by sorting, after checking it against the cap."""
+    acc_v, acc_w = np.zeros(1), np.ones(1)
+    for v, w in parts:
+        v = np.asarray(v)
+        if acc_v.size * v.size > cap:
+            raise ExactEnumerationError(
+                f"convolving {acc_v.size} by {v.size} atoms exceeds cap {cap}; use Monte Carlo")
+        acc_v, acc_w = _sorted_merge((acc_v[:, None] + v[None, :]).ravel(),
+                                     (acc_w[:, None] * np.asarray(w)[None, :]).ravel())
+    return acc_v, acc_w
+
+
+EXACT_CAP = engine.EXACT_CAP_DEFAULT
+# weights that are 0.0 or so small that their products underflow to 0.0
+_TINY_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-300, 1e-170, 1e-160])
+_WEIGHTS = st.one_of(st.floats(0.0, 1.0), _TINY_WEIGHTS)
+# a lattice support as it is, shifted off the integers, or stretched wider
+# than any cap drawn below
+_SCALES = {"lattice": lambda v: v, "fraction": lambda v: v + 0.25 * (v % 2),
+           "wide": lambda v: v * 1e7}
+
+
+@st.composite
+def _convolution_cases(draw):
+    scale = _SCALES[draw(st.sampled_from(sorted(_SCALES)))]
+    distinct = []
+    for _ in range(draw(st.integers(1, 4))):
+        pairs = draw(st.lists(st.tuples(st.integers(-4, 6), _WEIGHTS), min_size=1, max_size=6))
+        v = np.array([float(a) for a, _ in pairs])
+        if draw(st.booleans()):   # all-zero supports, as Stephenson at n = 2
+            v = np.zeros(v.size) if draw(st.booleans()) else np.full(v.size, -0.0)
+        distinct.append((scale(v), np.array([b for _, b in pairs])))
+    # parts repeat, as the pairs of one transform share a part
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=8))
+    cap = draw(st.sampled_from([3, 10, 40, 200, 10_000, EXACT_CAP, EXACT_CAP]))
+    return distinct, picks, cap
+
+
+class TestIntegerLattice:
+    """Integer supports are merged and convolved by lattice offset; the
+    results equal the sort-based reference bit for bit, and the cap is
+    met at the same part with the same message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_convolution_cases())
+    def test_convolution_equals_sorted_reference(self, case):
+        distinct, picks, cap = case
+        parts = [distinct[i] for i in picks]
+        runs = (lambda: convolve_discrete(parts, cap),
+                lambda: engine._convolve(distinct, picks, cap))
+        try:
+            want = _sorted_convolution(parts, cap)
+        except ExactEnumerationError as err:
+            for run in runs:
+                with pytest.raises(ExactEnumerationError) as got:
+                    run()
+                assert str(got.value) == str(err)
+            return
+        for run in runs:
+            got = run()
+            assert _bitwise_equal(got[0], want[0]) and _bitwise_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("sets", [3, 5])
+    def test_wide_sparse_lattice_is_merged(self, sets):
+        # Stephenson(6) scores of one treated unit in 30 span about 1.2e5
+        # integers with 26 atoms: slice-adds over the lattice would cost far
+        # more than the cap, so the parts are merged atom by atom
+        v, w = engine._exact_subset_sums(RankTransform.stephenson(6).scores(30), 30, 1, EXACT_CAP)
+        part = (v, w / w.sum())
+        assert v.size == 26 and v.max() - v.min() > 1e5
+        assert engine._lattice_steps([part], [0] * sets, EXACT_CAP) is None
+        got = engine._convolve([part], [0] * sets, EXACT_CAP)
+        want = _sorted_convolution([part] * sets, EXACT_CAP)
+        assert _bitwise_equal(got[0], want[0]) and _bitwise_equal(got[1], want[1])
+
+    def test_dense_slice_adds_fit_the_cap(self):
+        # a dense step costs its atoms times (lattice length + the fixed
+        # cost of a slice-add); a part that would pass the cap is merged
+        part = (np.arange(40.0), np.full(40, 1 / 40))
+        n = 1 + 39 * 3   # the lattice after three parts
+        cap = (n + engine._SLICE_COST) * 40
+        assert engine._lattice_steps([part], [0] * 4, cap) is not None
+        assert engine._lattice_steps([part], [0] * 4, cap - 1) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.integers(-60, 60).map(float),
+                  st.sampled_from([-0.0, 0.5, -7.25, 3e9, 2.0 ** 53, -(2.0 ** 60)])),
+        _WEIGHTS), min_size=1, max_size=40))
+    def test_merge_equals_sorted_reference(self, atoms):
+        values = np.array([a for a, _ in atoms])
+        weights = np.array([b for _, b in atoms])
+        got = engine._merge_atoms(values, weights)
+        want = _sorted_merge(values, weights)
+        assert _bitwise_equal(got[0], want[0]) and _bitwise_equal(got[1], want[1])
+
+    def test_merge_of_draws_equals_sorted_reference(self):
+        draws = np.random.default_rng(3).integers(-500, 20_000, 100_000).astype(float)
+        got = engine._merge_atoms(draws, np.ones(draws.size))
+        want = _sorted_merge(draws, np.ones(draws.size))
+        assert _bitwise_equal(got[0], want[0]) and _bitwise_equal(got[1], want[1])
+
+    # twenty strata of 8 to 16 units, about half treated
+    STRATA = tuple((8 + (5 * s) % 9, (8 + (5 * s) % 9) // 2 + s % 3 - 1) for s in range(20))
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_stratified_nulls_keep_their_provenance(self, flip):
+        sizes = tuple((ns, ns - nst) if flip else (ns, nst) for ns, nst in self.STRATA)
+        engine._null_cached.cache_clear()
+        got = null_distribution(("scre", sizes), W)
+        assert got.provenance == ("exact",)
+        parts = []
+        for ns, nst in sizes:
+            v, w = engine._exact_subset_sums(W.scores(ns), ns, nst, EXACT_CAP)
+            parts.append((v, w / w.sum()))
+        want = discrete_null(*_sorted_convolution(parts, EXACT_CAP))
+        assert _bitwise_equal(got.support, want.support)
+        assert _bitwise_equal(got.tail, want.tail)
+        # the convolved Stephenson supports pass the cap: they stay sampled
+        mc = MonteCarloConfig(1_000, 5)
+        for s in (3, 6):
+            nd = null_distribution(("scre", sizes), RankTransform.stephenson(s), mc=mc)
+            assert nd.provenance == ("mc", 1_000, 5)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.2, 38.4])
+    def test_pairs_tail_equals_sorted_reference(self, gamma):
+        from qite.stratified import worst_case_tail
+
+        rng = np.random.default_rng(30)
+        z = np.ravel([rng.permutation([1, 0]) for _ in range(300)])
+        data = ExperimentData(z, np.round(rng.normal(size=600), 1), np.repeat(np.arange(300), 2))
+        got = worst_case_tail(data, W, gamma)
+        p_hi = gamma / (1.0 + gamma)
+        part = (W.scores(2), np.array([1.0 - p_hi, p_hi]))
+        vals, wts = _sorted_convolution([part] * 300, EXACT_CAP)
+        # at Gamma = 38.4 the lowest sums' weights underflow to 0.0 and
+        # stay in the support
+        assert vals.size == 301 and (gamma < 38.4 or wts[0] == 0.0)
+        want = discrete_null(vals, wts)
+        assert got.provenance == ("exact", "worst-case", gamma)
+        assert _bitwise_equal(got.support, want.support)
+        assert _bitwise_equal(got.tail, want.tail)
+
+
 class TestThresholdSampler:
     @pytest.mark.parametrize("tag", [engine._TAG_CRE_NULL, engine._TAG_SCRE_NULL])
     @pytest.mark.parametrize("n,n_t,draws", [

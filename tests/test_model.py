@@ -211,3 +211,30 @@ class TestStrataIndex:
     def test_negative_stratum_codes_rejected(self):
         with pytest.raises(DataError):
             ExperimentData(np.array([1, 0]), np.array([1.0, 2.0]), np.array([-1, -1]))
+
+    def test_gapped_stratum_codes_rejected(self):
+        z = np.array([1, 0, 1, 0, 0, 1])
+        with pytest.raises(DataError, match="without gaps; code 1 has no units"):
+            ExperimentData(z, np.arange(6.0), np.array([0, 0, 3, 3, 3, 3]))
+
+    def test_first_lacking_stratum_named(self):
+        # b has no treated unit and c no control unit: b comes first
+        with pytest.raises(DataError, match="stratum 'b' lacks a treated or a control unit"):
+            ExperimentData.from_arrays([1, 0, 0, 0, 1, 1], [1.0] * 6,
+                                       ["a", "a", "b", "b", "c", "c"])
+        with pytest.raises(DataError, match="stratum 1 lacks"):
+            ExperimentData(np.array([1, 0, 1, 1, 0, 0, 0, 1]), np.arange(8.0),
+                           np.array([0, 0, 1, 1, 2, 2, 3, 3]))
+
+    def test_counts_cached(self):
+        rng = np.random.default_rng(8)
+        z = np.tile([1, 0], 5)
+        y = np.round(rng.normal(size=10), 1)
+        csv = "z,y,stratum\n" + "\n".join(
+            f"{a},{b},s{i // 4}" for i, (a, b) in enumerate(zip(z, y)))
+        built = [ExperimentData.from_arrays(z, y, [i // 4 for i in range(10)]),
+                 ExperimentData.from_arrays(z[:9], y[:9]), load_experiment(csv)]
+        for d in built + [switch_labels_negate(d) for d in built]:
+            assert d.n_t == int(d.z.sum())
+            assert d.n_strata == (1 if d.strata is None else int(d.strata.max()) + 1)
+            assert {"n_t", "n_strata"} <= set(vars(d))
